@@ -28,7 +28,7 @@ from .oracle import oracle_depth_2d, oracle_depth_general
 
 __all__ = ["read_points", "run", "main", "PointFileError"]
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 log = logging.getLogger("tukeydepth")
 
@@ -147,6 +147,8 @@ def _result_payload(result: DepthResult) -> dict:
         "stats": {
             "nodes": result.stats.nodes,
             "lps": result.stats.lps,
+            "dual_pivots": result.stats.dual_pivots,
+            "primal_pivots": result.stats.primal_pivots,
             "cuts": result.stats.cuts,
             "wall_time": result.stats.wall_time,
             "heuristic_weight": result.stats.heuristic_weight,

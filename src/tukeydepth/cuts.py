@@ -143,10 +143,7 @@ def bis_cut(sys: InfeasibleSystem, active, bounds: ParamBounds | None = None,
     A[:, d] = 1.0
     lower = np.concatenate([np.full(d, -INF), [0.0]])
     upper = np.full(d + 1, INF)
-    # A feasible start (x = 0, x0 = 1) makes phase 1 a no-op.
-    warm = np.concatenate([np.zeros(d), [1.0]])
-    model = LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper,
-                    warm=warm)
+    model = LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
     sol = solve_lp(model, counter=counter)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"phase-1 subsystem LP ended {sol.status}")

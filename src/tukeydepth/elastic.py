@@ -41,8 +41,7 @@ class ElasticSolution:
         return self.ninf == 0
 
 
-def _elastic_lp(sys: InfeasibleSystem, active: list[int],
-                warm_x: np.ndarray | None) -> LpModel:
+def _elastic_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
     d = sys.dim
     k = len(active)
     obj = np.concatenate([np.zeros(d), sys.weights[active].astype(float)])
@@ -51,20 +50,13 @@ def _elastic_lp(sys: InfeasibleSystem, active: list[int],
     A[np.arange(k), d + np.arange(k)] = 1.0
     lower = np.concatenate([np.full(d, -INF), np.zeros(k)])
     upper = np.full(d + k, INF)
-    warm = None
-    if warm_x is not None:
-        # Padding the slack guesses to exact feasibility skips phase 1.
-        e = np.maximum(0.0, 1.0 - sys.rows[active] @ warm_x)
-        warm = np.concatenate([warm_x, e])
-    return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper,
-                   warm=warm)
+    return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
 
 
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                   bounds: ParamBounds | None = None,
                   viol_tol: float = VIOL_TOL,
-                  counter: LpCounter | None = None,
-                  warm_x: np.ndarray | None = None) -> ElasticSolution:
+                  counter: LpCounter | None = None) -> ElasticSolution:
     """Minimize sum(w_j * e_j) over <a_j, x> + e_j >= 1 for the rows not in
     ``removed``; x is unrestricted.
 
@@ -80,7 +72,7 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
         return ElasticSolution(0.0, 0, violations, sensitivities,
                                np.zeros(sys.dim))
 
-    sol = solve_lp(_elastic_lp(sys, active, warm_x), counter=counter)
+    sol = solve_lp(_elastic_lp(sys, active), counter=counter)
     x = sol.primal[:sys.dim]
     e = sol.primal[sys.dim:]
     for pos, j in enumerate(active):
@@ -127,10 +119,8 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     if variant not in ("full", "fast"):
         raise ValueError(f"unknown variant {variant!r}")
     cover: set[int] = set()
-    warm_x = None
     while True:
-        sol = solve_elastic(sys, cover, bounds, viol_tol, counter, warm_x)
-        warm_x = sol.x
+        sol = solve_elastic(sys, cover, bounds, viol_tol, counter)
         if sol.ninf == 0:
             return cover
         alive = [j for j in range(sys.n_rows) if j not in cover]
@@ -149,7 +139,7 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
         best_resolve: ElasticSolution | None = None
         for j in candidates:
             trial = solve_elastic(sys, cover | {j}, bounds, viol_tol,
-                                  counter, warm_x)
+                                  counter)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)

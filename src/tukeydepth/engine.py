@@ -88,8 +88,7 @@ class MipModel:
         return self.dim + self.n_binaries + (1 if self.has_eps_var else 0)
 
     def relaxation(self, fixed1=frozenset(), fixed0=frozenset(),
-                   cuts: tuple[Cut, ...] = (),
-                   warm: np.ndarray | None = None) -> LpModel:
+                   cuts: tuple[Cut, ...] = ()) -> LpModel:
         """LP relaxation with binaries in [0,1] and the given fixings/cuts."""
 
         d, n = self.dim, self.n_binaries
@@ -143,7 +142,7 @@ class MipModel:
             upper[-1] = M
 
         return LpModel(objective, np.vstack(rows), senses, np.array(rhs),
-                       lower, upper, warm=warm)
+                       lower, upper)
 
 
 @dataclass
@@ -154,8 +153,6 @@ class Node:
     fixed0: frozenset = frozenset()
     lower_bound: float = 0.0
     tree_depth: int = 0
-    cuts: tuple[tuple[int, ...], ...] = ()
-    warm: np.ndarray | None = None
 
 
 class OutcomeKind(Enum):
@@ -184,8 +181,13 @@ class NodeOutcome:
 
 @dataclass
 class SolveStats:
+    """Search counters; ``dual_pivots`` and ``primal_pivots`` total the
+    simplex pivots of every LP the solve ran (see ``LpSolution``)."""
+
     nodes: int = 0
     lps: int = 0
+    dual_pivots: int = 0
+    primal_pivots: int = 0
     cuts: int = 0
     wall_time: float = 0.0
     heuristic_weight: int | None = None
@@ -336,8 +338,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
 
     if cfg.branch_rule == "greedy":
         el = solve_elastic(mip.sys, set(node.fixed1), mip.bounds,
-                           cfg.viol_tol, counter,
-                           warm_x=lp.primal[:mip.dim])
+                           cfg.viol_tol, counter)
         violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
         pool = violated if violated else fractional
         best_j, best_score = pool[0], -1.0
@@ -360,7 +361,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         for fix_to_one in (True, False):
             f1 = node.fixed1 | {j} if fix_to_one else node.fixed1
             f0 = node.fixed0 if fix_to_one else node.fixed0 | {j}
-            child = solve_lp(mip.relaxation(f1, f0, cuts, warm=lp.primal),
+            child = solve_lp(mip.relaxation(f1, f0, cuts),
                              cfg.feas_tol, counter=counter)
             bounds_pair.append(INF if child.status is LpStatus.INFEASIBLE
                                else child.objective_value)
@@ -432,13 +433,11 @@ class BranchCutEngine:
         cfg = self.cfg
         mip = self.mip
         active = tuple(self.pool.snapshot())
-        node.cuts = tuple(c.members for c in active)
         seen = {c.members for c in active}
         outcome_rounding = None
         new_cut_count = 0
 
-        lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active,
-                                     warm=node.warm),
+        lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
                       cfg.feas_tol, counter=self.counter)
         iteration = 0
         prev_obj = None
@@ -490,13 +489,11 @@ class BranchCutEngine:
                 self.pool.insert(cut)
                 seen.add(cut.members)
             active = active + tuple(fresh)
-            node.cuts = tuple(c.members for c in active)
             new_cut_count += len(fresh)
 
             iteration += 1
             prev_obj = obj
-            lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active,
-                                         warm=lp.primal),
+            lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
                           cfg.feas_tol, counter=self.counter)
 
             if (mip.form is MipForm.DEPTH
@@ -605,8 +602,6 @@ class BranchCutEngine:
                         child1, child0 = expand(base, out.branch_var)
                         child1.lower_bound = out.objective
                         child0.lower_bound = out.objective
-                        child1.warm = out.lp.primal
-                        child0.warm = out.lp.primal
                         store.push(child0)
                         store.push(child1)
                 if not exact:
@@ -664,8 +659,6 @@ class BranchCutEngine:
                         child1, child0 = expand(base, out.branch_var)
                         child1.lower_bound = out.objective
                         child0.lower_bound = out.objective
-                        child1.warm = out.lp.primal
-                        child0.warm = out.lp.primal
                         store.push(child0)
                         store.push(child1)
         return None
@@ -781,6 +774,8 @@ def _finalize(sys: InfeasibleSystem, cover, stats: SolveStats,
     else:
         direction = np.zeros(sys.dim)
     stats.lps = counter.count
+    stats.dual_pivots = counter.dual_pivots
+    stats.primal_pivots = counter.primal_pivots
     weight = sys.weight_of(cover)
     return DepthResult(depth=weight + sys.zero_offset,
                        cover=tuple(sorted(int(j) for j in cover)),

@@ -1,11 +1,17 @@
 """Dense bounded-variable revised simplex solver.
 
-Two phases with one artificial variable per row, Dantzig pricing with a
-Bland's-rule fallback after a degenerate-iteration budget, explicit basis
-inverse refactorized on a fixed pivot cadence, and lowest-index tie-breaking
-everywhere so identical inputs give identical output.  Problem sizes in this
-project stay small (a few hundred rows and columns), so dense algebra is
-adequate and much simpler than a factorized sparse kernel.
+Every solve starts from the all-slack basis.  A bounded dual simplex drives
+it to primal feasibility (or proves infeasibility with a Farkas ray), then
+the primal simplex finishes with the true cost and detects unboundedness.
+Every LP this package builds is dual feasible at the slack basis, so for
+those the primal finish only prices once.  Pricing is by largest violation
+(dual) and Dantzig (primal) with a Bland's-rule fallback after a
+degenerate-iteration budget; the explicit basis inverse is refactorized on a
+fixed pivot cadence, and ties go to the lowest index everywhere, so identical
+inputs give identical output on a fixed BLAS thread configuration (the
+thread count can change the rounding of the dense products).  Problem sizes
+in this project stay small (a few hundred rows and columns), so dense
+algebra is adequate and much simpler than a factorized sparse kernel.
 """
 
 from __future__ import annotations
@@ -61,10 +67,7 @@ class LpNumericsError(RuntimeError):
 class LpModel:
     """min objective . v subject to row_coeffs v (sense) rhs, lower <= v <= upper.
 
-    All arrays are dense; +-inf bounds are allowed.  ``warm`` optionally
-    suggests a starting point: variables open nonbasic at the bound nearest
-    the suggestion (free ones exactly on it), which lets a nearly feasible
-    guess skip most of phase 1.
+    All arrays are dense; +-inf bounds are allowed.
     """
 
     objective: np.ndarray
@@ -73,7 +76,6 @@ class LpModel:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    warm: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -87,8 +89,6 @@ class LpModel:
         self.upper = np.asarray(self.upper, dtype=float).reshape(n)
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
-        if self.warm is not None:
-            self.warm = np.asarray(self.warm, dtype=float).reshape(n)
 
     @property
     def columns(self) -> int:
@@ -101,39 +101,50 @@ class LpModel:
 
 @dataclass
 class LpSolution:
+    """``dual_pivots`` counts basis changes of the dual pass, ``primal_pivots``
+    the basis changes and bound flips of the primal finish."""
+
     status: LpStatus
     primal: np.ndarray
     objective_value: float
     duals: np.ndarray
     reduced_costs: np.ndarray
     basis: tuple[int, ...]
+    dual_pivots: int = 0
+    primal_pivots: int = 0
 
 
 class LpCounter:
-    """Shared counter so callers can report how many LPs a pipeline solved;
-    locked because search workers may tick it concurrently."""
+    """Shared counter so callers can report how many LPs a pipeline solved
+    and how many pivots they took; locked because search workers may record
+    into it concurrently."""
 
     def __init__(self):
         self.count = 0
+        self.dual_pivots = 0
+        self.primal_pivots = 0
         self._lock = threading.Lock()
 
-    def tick(self) -> None:
+    def record(self, sol: LpSolution) -> None:
         with self._lock:
             self.count += 1
+            self.dual_pivots += sol.dual_pivots
+            self.primal_pivots += sol.primal_pivots
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
              opt_tol: float = 1e-9, counter: LpCounter | None = None) -> LpSolution:
     """Solve the LP; status is always one of optimal/infeasible/unbounded.
 
-    On infeasibility the returned duals are the phase-1 multipliers, which
-    for pure >=-row systems with free variables form a Farkas certificate
-    (y >= 0, y.A = 0, y.b > 0).
+    On infeasibility the objective value is +inf and the returned duals are
+    a Farkas ray, the blocked row of the basis inverse; for pure >=-row
+    systems with free variables it satisfies y >= 0, y.A = 0, y.b > 0.
     """
 
+    sol = _Simplex(model, feas_tol, opt_tol).solve()
     if counter is not None:
-        counter.tick()
-    return _Simplex(model, feas_tol, opt_tol).solve()
+        counter.record(sol)
+    return sol
 
 
 def solve_with_fixings(model: LpModel, fixed: dict[int, float],
@@ -148,100 +159,65 @@ def solve_with_fixings(model: LpModel, fixed: dict[int, float],
             raise ValueError(f"fixed value {v} outside bounds of variable {j}")
         lower[j] = upper[j] = v
     pinned = LpModel(model.objective, model.row_coeffs, list(model.senses),
-                     model.rhs, lower, upper, warm=model.warm)
+                     model.rhs, lower, upper)
     return solve_lp(pinned, feas_tol, opt_tol, counter)
 
 
 class _Simplex:
     """Working state for one solve.
 
-    Variable layout: [structural | slack | artificial].  Every row gets a
-    slack whose bounds encode the sense (<=: [0, inf), >=: (-inf, 0], =: [0, 0])
-    and one artificial, so the initial basis is always the signed identity.
+    Variable layout: [structural | slack].  Every row gets a slack whose
+    bounds encode the sense (<=: [0, inf), >=: (-inf, 0], =: [0, 0]), so the
+    all-slack basis B = I is always a valid start.  Each structural opens
+    nonbasic at the bound its cost sign needs for dual feasibility; where that
+    bound is infinite it sits at its other bound (or at 0 when free) and the
+    dual pass prices it at cost 0, leaving the primal finish to correct it.
     """
 
     def __init__(self, model: LpModel, feas_tol: float, opt_tol: float):
-        self.model = model
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
 
         n, m = model.columns, model.n_rows
         self.n_struct = n
         self.m = m
-        self.n_total = n + 2 * m
 
-        A = np.zeros((m, self.n_total))
-        A[:, :n] = model.row_coeffs
-        lo = np.zeros(self.n_total)
-        up = np.full(self.n_total, INF)
-        lo[:n] = model.lower
-        up[:n] = model.upper
+        self.A = np.hstack([model.row_coeffs, np.eye(m)])
+        lo = np.concatenate([model.lower, np.zeros(m)])
+        up = np.concatenate([model.upper, np.full(m, INF)])
         for i, sense in enumerate(model.senses):
-            A[i, n + i] = 1.0
-            if sense is Sense.LE:
-                lo[n + i], up[n + i] = 0.0, INF
-            elif sense is Sense.GE:
+            if sense is Sense.GE:
                 lo[n + i], up[n + i] = -INF, 0.0
-            else:
-                lo[n + i], up[n + i] = 0.0, 0.0
-
-        self.A = A
+            elif sense is Sense.EQ:
+                up[n + i] = 0.0
         self.lower = lo
         self.upper = up
         self.b = model.rhs.astype(float).copy()
-        self.art0 = n + m
+        self.cost = np.concatenate([model.objective, np.zeros(m)])
 
-        # Structural start: bound nearest the warm suggestion (origin when no
-        # suggestion), free variables exactly on it.
-        self.status = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
-        self.values = np.zeros(self.n_total)
-        hint = model.warm if model.warm is not None else np.zeros(n)
-        for j in range(n):
-            if lo[j] == -INF and up[j] == INF:
-                self.status[j] = _FREE
-                self.values[j] = hint[j]
-            elif lo[j] == -INF:
-                self.status[j] = _AT_UPPER
-                self.values[j] = up[j]
-            elif up[j] == INF:
-                self.status[j] = _AT_LOWER
-                self.values[j] = lo[j]
-            elif abs(hint[j] - lo[j]) <= abs(hint[j] - up[j]):
-                self.status[j] = _AT_LOWER
-                self.values[j] = lo[j]
-            else:
-                self.status[j] = _AT_UPPER
-                self.values[j] = up[j]
+        c = model.objective
+        fin_lo = model.lower > -INF
+        fin_up = model.upper < INF
+        at_up = fin_up & ((c < 0) | ~fin_lo)
+        free = ~fin_lo & ~fin_up
+        at_lo = ~at_up & ~free
+        dual_ok = ((at_lo & (c >= 0)) | (at_up & (c <= 0))
+                   | (model.lower == model.upper))
+        self.dual_cost = np.concatenate([np.where(dual_ok, c, 0.0),
+                                         np.zeros(m)])
 
-        # Row basis: the slack itself wherever the structural start leaves it
-        # inside its bounds, an artificial carrying the excess otherwise; both
-        # column shapes are signed unit vectors, so the basis stays diagonal.
-        resid = self.b - A[:, :n] @ self.values[:n] if m else np.zeros(0)
-        basis = np.empty(m, dtype=int)
-        diag = np.ones(m)
-        for i in range(m):
-            js, ja = n + i, self.art0 + i
-            clamped = min(max(resid[i], lo[js]), up[js])
-            excess = resid[i] - clamped
-            if excess == 0.0:
-                A[i, ja] = 1.0
-                self.lower[ja] = self.upper[ja] = 0.0
-                self.values[js] = resid[i]
-                self.status[js] = _BASIC
-                basis[i] = js
-            else:
-                A[i, ja] = 1.0 if excess > 0 else -1.0
-                self.values[js] = clamped
-                self.status[js] = (_AT_UPPER if clamped == up[js]
-                                   else _AT_LOWER)
-                self.values[ja] = abs(excess)
-                self.status[ja] = _BASIC
-                basis[i] = ja
-                diag[i] = A[i, ja]
-
-        self.basis = basis
-        self.binv = np.diag(1.0 / diag) if m else np.zeros((0, 0))
+        self.status = np.full(n + m, _BASIC, dtype=np.int8)
+        self.status[:n] = np.where(at_up, _AT_UPPER,
+                                   np.where(free, _FREE, _AT_LOWER))
+        self.values = np.zeros(n + m)
+        self.values[:n] = np.where(at_up, model.upper,
+                                   np.where(free, 0.0, model.lower))
+        self.values[n:] = self.b - model.row_coeffs @ self.values[:n]
+        self.basis = np.arange(n, n + m)
+        self.binv = np.eye(m)
         self.pivots_since_refactor = 0
+        # Fixed columns (equality slacks, pinned binaries) never enter.
+        self.movable = self.upper > self.lower
 
     # -- linear algebra helpers -------------------------------------------
 
@@ -274,7 +250,7 @@ class _Simplex:
         st = self.status
         from_lower = ((st == _AT_LOWER) | (st == _FREE)) & (rc < -self.opt_tol)
         from_upper = ((st == _AT_UPPER) | (st == _FREE)) & (rc > self.opt_tol)
-        eligible = from_lower | from_upper
+        eligible = (from_lower | from_upper) & self.movable
         if not eligible.any():
             return -1
         if bland:
@@ -282,7 +258,114 @@ class _Simplex:
         score = np.where(eligible, np.abs(rc), -1.0)
         return int(np.argmax(score))
 
-    def _iterate(self, cost: np.ndarray, phase: int) -> str:
+    def _dual(self, cost: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """Bounded dual simplex from a basis that is dual feasible for
+        ``cost``, run until every basic variable is within its bounds.
+
+        Returns (None, pivots) on primal feasibility, or (ray, pivots) when a
+        violated row admits no entering column: the ray is that row of the
+        basis inverse, signed so that it certifies infeasibility.  The leaving
+        row is the largest bound violation; the entering column comes from a
+        Harris two-pass ratio test on the pivot row, preferring the largest
+        pivot among near-ties and then the lowest index.  After a run of
+        degenerate steps both choices switch to Bland's lowest index.
+        """
+
+        if self.m == 0:
+            return None, 0
+        A = self.A
+        d = cost - self._duals(cost) @ A
+        degenerate_run = 0
+        bland = False
+        pivots = 0
+        max_iter = 2000 + 200 * (self.m + self.n_struct)
+
+        while True:
+            if pivots > max_iter:
+                raise LpNumericsError("iteration limit exceeded")
+            if self.pivots_since_refactor >= _REFACTOR_EVERY:
+                self._refactorize()
+                d = cost - self._duals(cost) @ A
+
+            vb = self.values[self.basis]
+            below = self.lower[self.basis] - vb
+            above = vb - self.upper[self.basis]
+            violation = np.maximum(below, above)
+            rows = np.flatnonzero(violation > self.feas_tol)
+            if rows.size == 0:
+                return None, pivots
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(violation))
+            to_upper = above[r] > 0
+            sign = 1.0 if to_upper else -1.0
+
+            # Dual step d -= theta * alpha with theta = sign * t, t >= 0: a
+            # column at lower (upper) bounds t where sign * alpha_j is
+            # positive (negative); a free column bounds it wherever
+            # alpha_j != 0, since its reduced cost must stay zero.
+            alpha = self.binv[r] @ A
+            sa = sign * alpha
+            st = self.status
+            elig = self.movable & (
+                ((st == _AT_LOWER) & (sa > _PIVOT_TOL))
+                | ((st == _AT_UPPER) & (sa < -_PIVOT_TOL))
+                | ((st == _FREE) & (np.abs(sa) > _PIVOT_TOL)))
+            idx = np.flatnonzero(elig)
+            if idx.size == 0:
+                return sign * self.binv[r], pivots
+
+            mag = np.abs(alpha[idx])
+            dj = d[idx]
+            sj = st[idx]
+            room = np.maximum(np.where(sj == _AT_LOWER, dj,
+                                       np.where(sj == _AT_UPPER, -dj,
+                                                np.abs(dj))), 0.0)
+            ratio = room / mag
+            if bland:
+                tie = np.flatnonzero(ratio <= ratio.min() + _RATIO_TIE)
+                solid = tie[mag[tie] >= 1e-7 * mag[tie].max()]
+                pick = int(solid[0])
+            else:
+                # Half the optimality tolerance keeps the reduced costs that
+                # the relaxed ratio lets slip inside what the primal finish
+                # accepts as optimal.
+                limit = float(((room + 0.5 * self.opt_tol) / mag).min())
+                cands = ratio <= limit
+                best = float(mag[cands].max())
+                pick = int(np.flatnonzero(cands & (mag >= 0.5 * best))[0])
+            q = int(idx[pick])
+            t = float(ratio[pick])
+
+            d -= (sign * t) * alpha
+            col = self.binv @ A[:, q]
+            jl = int(self.basis[r])
+            bound = self.upper[jl] if to_upper else self.lower[jl]
+            step = (vb[r] - bound) / col[r]
+            self.values[self.basis] -= step * col
+            self.values[q] += step
+            self.values[jl] = bound
+            self.status[jl] = _AT_UPPER if to_upper else _AT_LOWER
+            self.status[q] = _BASIC
+            self.basis[r] = q
+            d[q] = 0.0
+            self._update_binv(col, r)
+            self.pivots_since_refactor += 1
+            pivots += 1
+
+            if t <= _RATIO_TIE:
+                degenerate_run += 1
+                if degenerate_run >= _DEGENERATE_BUDGET:
+                    bland = True
+            else:
+                degenerate_run = 0
+                bland = False
+
+    def _iterate(self, cost: np.ndarray) -> tuple[str, int]:
+        """Primal simplex from a primal feasible basis.  Returns
+        ("optimal" | "unbounded", pivots), bound flips counted as pivots."""
+
         degenerate_run = 0
         bland = False
         iterations = 0
@@ -299,7 +382,7 @@ class _Simplex:
             rc = cost - y @ self.A if self.m else cost.copy()
             entering = self._price(rc, bland)
             if entering < 0:
-                return "optimal"
+                return "optimal", iterations - 1
 
             # Direction: +1 increases the entering variable, -1 decreases it.
             if self.status[entering] == _AT_UPPER:
@@ -341,9 +424,7 @@ class _Simplex:
             flip = rng if (rng != INF and self.status[entering] != _FREE) else INF
 
             if limit_relaxed == INF and flip == INF:
-                if phase == 1:
-                    raise LpNumericsError("phase-1 ray should not exist")
-                return "unbounded"
+                return "unbounded", iterations - 1
 
             if limit_relaxed == INF:
                 step_bound = INF
@@ -418,43 +499,32 @@ class _Simplex:
     # -- driver -------------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        n, m = self.n_struct, self.m
-
-        phase1_cost = np.zeros(self.n_total)
-        phase1_cost[self.art0:] = 1.0
-        self._iterate(phase1_cost, phase=1)
-        infeas = float(self.values[self.art0:].sum()) if m else 0.0
-
-        if infeas > self.feas_tol * max(1.0, float(np.abs(self.b).sum())):
-            y = self._duals(phase1_cost)
-            rc = phase1_cost - y @ self.A if m else phase1_cost
+        n = self.n_struct
+        ray, dual_pivots = self._dual(self.dual_cost)
+        if ray is not None:
             return LpSolution(
                 status=LpStatus.INFEASIBLE,
                 primal=self.values[:n].copy(),
-                objective_value=infeas,
-                duals=y.copy(),
-                reduced_costs=rc[:n].copy(),
+                objective_value=INF,
+                duals=ray,
+                reduced_costs=-(ray @ self.A[:, :n]),
                 basis=tuple(sorted(int(j) for j in self.basis)),
+                dual_pivots=dual_pivots,
             )
 
-        # Artificials can never re-enter once clamped to zero.
-        self.lower[self.art0:] = 0.0
-        self.upper[self.art0:] = 0.0
-        nonbasic_art = (self.status[self.art0:] != _BASIC)
-        self.status[self.art0:][nonbasic_art] = _AT_LOWER
-        self.values[self.art0:][nonbasic_art] = 0.0
-
-        phase2_cost = np.zeros(self.n_total)
-        phase2_cost[:n] = self.model.objective
-        outcome = self._iterate(phase2_cost, phase=2)
-
-        y = self._duals(phase2_cost)
-        rc = phase2_cost - y @ self.A if m else phase2_cost
+        outcome, primal_pivots = self._iterate(self.cost)
+        y = self._duals(self.cost)
+        rc = self.cost[:n] - y @ self.A[:, :n]
         primal = self.values[:n].copy()
-        obj = float(self.model.objective @ primal)
-        basis = tuple(sorted(int(j) for j in self.basis))
-        if outcome == "unbounded":
-            return LpSolution(LpStatus.UNBOUNDED, primal, -INF, y.copy(),
-                              rc[:n].copy(), basis)
-        return LpSolution(LpStatus.OPTIMAL, primal, obj, y.copy(),
-                          rc[:n].copy(), basis)
+        unbounded = outcome == "unbounded"
+        obj = -INF if unbounded else float(self.cost[:n] @ primal)
+        return LpSolution(
+            status=LpStatus.UNBOUNDED if unbounded else LpStatus.OPTIMAL,
+            primal=primal,
+            objective_value=obj,
+            duals=y,
+            reduced_costs=rc,
+            basis=tuple(sorted(int(j) for j in self.basis)),
+            dual_pivots=dual_pivots,
+            primal_pivots=primal_pivots,
+        )

@@ -109,13 +109,16 @@ def test_json_output(square_file, tmp_path):
               "--json", str(out)])
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["depth"] == 2
     assert payload["certificate"] == "verified"
     assert len(payload["direction"]) == 2
     assert sorted(payload) == sorted(
         ["schema", "depth", "cover", "direction", "epsilon", "certificate",
          "exact", "lower_bound", "zero_offset", "stats"])
+    stats = payload["stats"]
+    assert stats["dual_pivots"] > 0
+    assert stats["primal_pivots"] == 0
 
 
 def test_json_stdout(triangle_file, capsys):

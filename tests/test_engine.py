@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import solve_elastic
 from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
@@ -212,9 +213,23 @@ def test_determinism_across_runs():
     b = solve_depth(sys_)
     assert a.depth == b.depth == depth
     assert a.cover == b.cover
-    assert (a.stats.nodes, a.stats.lps, a.stats.cuts) == \
-        (b.stats.nodes, b.stats.lps, b.stats.cuts)
+    counts = ("nodes", "lps", "cuts", "dual_pivots", "primal_pivots")
+    assert [getattr(a.stats, c) for c in counts] == \
+        [getattr(b.stats, c) for c in counts]
     assert np.array_equal(a.direction, b.direction)
+
+
+@pytest.mark.parametrize("rule", ["greedy", "strong"])
+def test_solvers_take_no_primal_pivots(rule):
+    # Every LP the search builds is dual feasible at the slack basis.
+    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    cfg = EngineConfig(branch_rule=rule)
+    for solve in (solve_depth, solve_depth_binary):
+        res = solve(sys_, cfg)
+        assert res.depth == depth
+        assert res.stats.nodes > 0
+        assert res.stats.dual_pivots > 0
+        assert res.stats.primal_pivots == 0
 
 
 @pytest.mark.parametrize("rule", ["greedy", "strong"])

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from tukeydepth import cuts, engine
+from tukeydepth.cuts import bis_cut
+from tukeydepth.elastic import _elastic_lp
+from tukeydepth.engine import MipForm, MipModel, complement_direction
+from tukeydepth.model import ParamBounds
 from tukeydepth.simplex import (INF, LpModel, LpStatus, Sense, solve_lp,
                                 solve_with_fixings)
+
+from conftest import gaussian_system
 
 
 def lp(obj, rows, senses, rhs, lower, upper):
@@ -86,6 +93,21 @@ def test_deterministic_resolve():
     assert a.basis == b.basis
     assert a.objective_value == b.objective_value
 
+    # The package's own LP shapes, each built afresh for the second solve.
+    sys_, _, _ = gaussian_system(7100, 18, 3)
+    cut = bis_cut(sys_, range(sys_.n_rows))
+    mip = MipModel(sys_, ParamBounds.for_system(sys_))
+    builders = (
+        lambda: mip.relaxation(frozenset({0}), frozenset({1}), (cut,)),
+        lambda: _elastic_lp(sys_, list(range(1, sys_.n_rows))),
+    )
+    for build in builders:
+        a = solve_lp(build())
+        b = solve_lp(build())
+        assert np.array_equal(a.primal, b.primal)
+        assert a.basis == b.basis
+        assert a.objective_value == b.objective_value
+
 
 def _check_kkt(model: LpModel, sol, tol=1e-6):
     act = model.row_coeffs @ sol.primal
@@ -157,6 +179,8 @@ def test_random_lps_match_scipy(seed):
 
 
 def test_farkas_on_random_infeasible_systems():
+    # Zero cost, and a nonzero cost on the free columns, which the dual pass
+    # prices at 0: the ray must not depend on it.
     rng = np.random.default_rng(5)
     for _ in range(20):
         d = int(rng.integers(1, 4))
@@ -164,11 +188,102 @@ def test_farkas_on_random_infeasible_systems():
         base = rng.normal(size=(k, d))
         rows = np.vstack([base, -base[rng.integers(0, k)][None, :]])
         m = rows.shape[0]
-        model = lp(np.zeros(d), rows, [Sense.GE] * m, np.ones(m),
-                   np.full(d, -INF), np.full(d, INF))
+        for obj in (np.zeros(d), rng.normal(size=d)):
+            model = lp(obj, rows, [Sense.GE] * m, np.ones(m),
+                       np.full(d, -INF), np.full(d, INF))
+            sol = solve_lp(model)
+            assert sol.status is LpStatus.INFEASIBLE
+            y = sol.duals
+            assert np.all(y >= -1e-9)
+            assert np.linalg.norm(y @ rows) <= 1e-7 * max(1.0,
+                                                          np.abs(y).sum())
+            assert y @ np.ones(m) > 1e-7
+
+
+def test_wrong_sign_costs_take_the_primal_finish():
+    """Free and half-bounded columns whose cost sign asks for a missing
+    bound: the dual pass prices them at 0 and the primal finish must still
+    reach scipy's status and objective."""
+
+    rng = np.random.default_rng(11)
+    seen = {status: 0 for status in LpStatus}
+    finished_by_primal = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 8))
+        kind = rng.integers(0, 3, size=n)  # free, [l, inf), (-inf, u]
+        lower = np.where(kind == 1, rng.uniform(-2, 0, n), -INF)
+        upper = np.where(kind == 2, rng.uniform(0, 2, n), INF)
+        sign = np.where(kind == 1, -1.0, np.where(kind == 2, 1.0,
+                                                  rng.choice([-1.0, 1.0], n)))
+        senses = [Sense.GE if rng.random() < 0.4 else
+                  (Sense.LE if rng.random() < 0.8 else Sense.EQ)
+                  for _ in range(m)]
+        model = lp(sign * rng.uniform(0.5, 2.0, n), rng.normal(size=(m, n)),
+                   senses, rng.normal(size=m), lower, upper)
+        mine = solve_lp(model)
+        ref = _scipy_reference(model)
+        expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
+                    3: LpStatus.UNBOUNDED}[ref.status]
+        assert mine.status is expected
+        seen[expected] += 1
+        if expected is LpStatus.OPTIMAL:
+            assert mine.objective_value == pytest.approx(ref.fun, abs=1e-7,
+                                                         rel=1e-7)
+            _check_kkt(model, mine)
+            finished_by_primal += mine.primal_pivots > 0
+    assert all(seen.values()), seen
+    assert finished_by_primal > 0
+
+
+def _spy_models(monkeypatch, module, call):
+    """Run ``call``; return every LpModel it hands to ``module.solve_lp``."""
+
+    models = []
+
+    def spy(model, *args, **kwargs):
+        models.append(model)
+        return solve_lp(model, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_lp", spy)
+        call()
+    return models
+
+
+@pytest.mark.parametrize("points, dim", [(12, 2), (16, 3), (20, 4)])
+def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
+    """Every LP builder of the package yields an LP whose slack basis is dual
+    feasible, so the primal finish takes no pivot."""
+
+    sys_, depth, _ = gaussian_system(7000, points, dim)
+    n = sys_.n_rows
+    assert depth >= 2
+    bounds = ParamBounds.for_system(sys_)
+    cut = bis_cut(sys_, range(n))
+    fix1, fix0 = frozenset({0}), frozenset({1, 2})
+    models = {
+        "elastic": [_elastic_lp(sys_, list(range(1, n)))],
+        "bis_cut": _spy_models(monkeypatch, cuts,
+                               lambda: bis_cut(sys_, range(n))),
+        "complement_direction": _spy_models(
+            monkeypatch, engine,
+            lambda: complement_direction(sys_, {0, 1})),
+        "depth": [MipModel(sys_, bounds).relaxation(fix1, fix0, (cut,))],
+        "guess": [MipModel(sys_, bounds, MipForm.GUESS, guess=depth - 1)
+                  .relaxation(fix1, fix0, (cut,))],
+    }
+    for name, built in models.items():
+        assert len(built) == 1, name
+        model = built[0]
         sol = solve_lp(model)
-        assert sol.status is LpStatus.INFEASIBLE
-        y = sol.duals
-        assert np.all(y >= -1e-9)
-        assert np.linalg.norm(y @ rows) <= 1e-7 * max(1.0, np.abs(y).sum())
-        assert y @ np.ones(m) > 1e-7
+        ref = _scipy_reference(model)
+        assert sol.primal_pivots == 0, name
+        assert sol.dual_pivots > 0, name
+        if ref.status == 2:
+            assert sol.status is LpStatus.INFEASIBLE, name
+        else:
+            assert ref.status == 0, name
+            assert sol.status is LpStatus.OPTIMAL, name
+            assert sol.objective_value == pytest.approx(
+                ref.fun, abs=1e-7, rel=1e-7), name
