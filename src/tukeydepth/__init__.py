@@ -19,8 +19,7 @@ from .model import (InfeasibleSystem, ParamBounds, PointSet, build_system,
 from .mps import render_mps, write_mps
 from .oracle import (GeneralPositionError, is_depth_zero, oracle_depth_2d,
                      oracle_depth_general)
-from .simplex import (LpModel, LpSolution, LpStatus, Sense, solve_lp,
-                      solve_with_fixings)
+from .simplex import LpModel, LpSolution, LpStatus, Sense, solve_lp
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "PointSet", "InfeasibleSystem", "ParamBounds", "build_system",
     "compute_bigM", "lattice_epsilon",
     "LpModel", "LpSolution", "LpStatus", "Sense", "solve_lp",
-    "solve_with_fixings",
     "ElasticSolution", "solve_elastic", "chinneck_cover",
     "Cut", "CutPool", "pseudo_knapsack_select", "bis_cut", "generate_cuts",
     "MipForm", "MipModel", "Node", "NodeOutcome", "SolveStats",

@@ -61,8 +61,7 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
 
     bounds = ParamBounds.for_system(sys, cfg.c, cfg.epsilon)
     cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
-                                     cfg.heuristic_k, bounds,
-                                     cfg.viol_tol, counter))
+                                     cfg.heuristic_k, cfg.viol_tol, counter))
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight
 

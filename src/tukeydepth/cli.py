@@ -128,8 +128,6 @@ def _config_from_args(args) -> EngineConfig:
         heuristic_k=args.heuristic_k,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        workers=args.workers,
-        seed=args.seed,
     )
 
 
@@ -168,7 +166,7 @@ def _emit_json(payload: dict, dest: str) -> None:
 
 def _load_system(args):
     ps = read_points(args.file, args.query, args.query_coords)
-    return build_system(ps, scale_rows=not args.no_scale)
+    return build_system(ps)
 
 
 def _cmd_solve(args, solver) -> int:
@@ -190,12 +188,7 @@ def _cmd_solve(args, solver) -> int:
 
 def _cmd_heuristic(args) -> int:
     sys_ = _load_system(args)
-    if sys_.n_rows == 0:
-        cover = set()
-    else:
-        bounds = ParamBounds.for_system(sys_, args.c, args.epsilon)
-        cover = chinneck_cover(sys_, args.heuristic_variant, args.heuristic_k,
-                               bounds)
+    cover = chinneck_cover(sys_, args.heuristic_variant, args.heuristic_k)
     weight = sys_.weight_of(cover) + sys_.zero_offset
     payload = {"schema": JSON_SCHEMA_VERSION, "upper_bound": weight,
                "cover": sorted(int(j) for j in cover),
@@ -244,7 +237,7 @@ def _cmd_bench(args) -> int:
     worst = EXIT_OK
     for inst in instances:
         ps = read_points(inst, args.query, args.query_coords)
-        sys_ = build_system(ps, scale_rows=not args.no_scale)
+        sys_ = build_system(ps)
         t0 = time.monotonic()
         result = solver(sys_, cfg)
         elapsed = time.monotonic() - t0
@@ -267,8 +260,6 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
                         "(default 0); the point is excluded from the set")
     p.add_argument("--query-coords", type=float, nargs="+", default=None,
                    metavar="V", help="explicit query coordinates")
-    p.add_argument("--no-scale", action="store_true",
-                   help="skip unit-norm row scaling")
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
@@ -296,10 +287,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heuristic-k", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for instance generation helpers; the search "
-                        "itself is deterministic and ignores it")
     p.add_argument("--json", metavar="PATH",
                    help="write a JSON result ( '-' for stdout )")
     p.add_argument("--allow-unverified", action="store_true",
@@ -331,8 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_heur.add_argument("--heuristic-variant", choices=["fast", "full"],
                         default="fast")
     p_heur.add_argument("--heuristic-k", type=int, default=1)
-    p_heur.add_argument("--epsilon", type=float, default=1e-5)
-    p_heur.add_argument("--c", type=float, default=1.0)
     p_heur.add_argument("--json", metavar="PATH")
 
     p_oracle = sub.add_parser("oracle", help="combinatorial verification depth")

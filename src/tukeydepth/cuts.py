@@ -5,13 +5,13 @@ shared across the search tree and across bisection runs."""
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InfeasibleSystem, ParamBounds
-from .simplex import INF, LpCounter, LpModel, LpStatus, Sense, solve_lp
+from .elastic import _phase1_lp
+from .model import InfeasibleSystem
+from .simplex import LpCounter, LpStatus, solve_lp
 
 __all__ = [
     "Cut",
@@ -19,10 +19,8 @@ __all__ = [
     "pseudo_knapsack_select",
     "bis_cut",
     "generate_cuts",
-    "TIGHT_TOL",
 ]
 
-TIGHT_TOL = 1e-7
 _FEAS_TOL = 1e-9
 
 
@@ -42,33 +40,28 @@ class Cut:
 
 
 class CutPool:
-    """Deduplicated, insertion-ordered cut store; safe for concurrent use."""
+    """Deduplicated, insertion-ordered cut store."""
 
     def __init__(self):
         self._cuts: list[Cut] = []
         self._seen: set[tuple[int, ...]] = set()
-        self._lock = threading.Lock()
 
     def insert(self, cut: Cut) -> bool:
         """Add a cut; returns False if an identical member set is present."""
-        with self._lock:
-            if cut.members in self._seen:
-                return False
-            self._seen.add(cut.members)
-            self._cuts.append(cut)
-            return True
+        if cut.members in self._seen:
+            return False
+        self._seen.add(cut.members)
+        self._cuts.append(cut)
+        return True
 
     def snapshot(self) -> list[Cut]:
-        with self._lock:
-            return list(self._cuts)
+        return list(self._cuts)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cuts)
+        return len(self._cuts)
 
     def __contains__(self, cut: Cut) -> bool:
-        with self._lock:
-            return cut.members in self._seen
+        return cut.members in self._seen
 
 
 def pseudo_knapsack_select(values) -> set[int]:
@@ -118,8 +111,7 @@ def _shrink_support(rows: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     return sup
 
 
-def bis_cut(sys: InfeasibleSystem, active, bounds: ParamBounds | None = None,
-            feas_tol: float = _FEAS_TOL, tight_tol: float = TIGHT_TOL,
+def bis_cut(sys: InfeasibleSystem, active, feas_tol: float = _FEAS_TOL,
             counter: LpCounter | None = None) -> Cut | None:
     """Phase-1 cut: minimize x0 over <a_j, x> + x0 >= 1 for j in the active
     set, x unrestricted, x0 >= 0.
@@ -134,17 +126,7 @@ def bis_cut(sys: InfeasibleSystem, active, bounds: ParamBounds | None = None,
     active = sorted(active)
     if not active:
         raise ValueError("active set must be nonempty")
-    d = sys.dim
-    k = len(active)
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    A = np.zeros((k, d + 1))
-    A[:, :d] = sys.rows[active]
-    A[:, d] = 1.0
-    lower = np.concatenate([np.full(d, -INF), [0.0]])
-    upper = np.full(d + 1, INF)
-    model = LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
-    sol = solve_lp(model, counter=counter)
+    sol = solve_lp(_phase1_lp(sys, active), counter=counter)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"phase-1 subsystem LP ended {sol.status}")
     x0 = sol.objective_value
@@ -158,14 +140,12 @@ def bis_cut(sys: InfeasibleSystem, active, bounds: ParamBounds | None = None,
     y /= total
     y[y <= 1e-9] = 0.0
     y /= y.sum()
-    sub = sys.rows[active]
-    sup = _shrink_support(sub, y, d)
+    sup = _shrink_support(sys.rows[active], y, sys.dim)
     return Cut(tuple(active[i] for i in sup))
 
 
 def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray,
-                  fixed1, fixed0, bounds: ParamBounds | None = None,
-                  use_knapsack: bool = True,
+                  fixed1, fixed0, use_knapsack: bool = True,
                   counter: LpCounter | None = None) -> list[Cut]:
     """Produce at most one hitting-set cut for the current relaxation values.
 
@@ -189,8 +169,8 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray,
             np.clip([lp_binaries[j] for j in unfixed], 0.0, 1.0))
         active = sorted(unfixed[i] for i in chosen)
         if active:
-            cut = bis_cut(sys, active, bounds, counter=counter)
+            cut = bis_cut(sys, active, counter=counter)
             if cut is not None:
                 return [cut]
-    cut = bis_cut(sys, full_active, bounds, counter=counter)
+    cut = bis_cut(sys, full_active, counter=counter)
     return [cut] if cut is not None else []

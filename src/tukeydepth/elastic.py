@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InfeasibleSystem, ParamBounds
+from .model import InfeasibleSystem
 from .simplex import INF, LpCounter, LpModel, Sense, solve_lp
 
 __all__ = ["ElasticSolution", "solve_elastic", "chinneck_cover", "VIOL_TOL"]
@@ -53,8 +53,25 @@ def _elastic_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
     return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
 
 
+def _phase1_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
+    """min x0 over <a_j, x> + x0 >= 1 for the rows in ``active``, x free,
+    x0 >= 0.  The optimum is zero exactly when those rows admit a common
+    strict solution: the unit right-hand side is equivalent to the strict
+    system because x may scale freely."""
+
+    d = sys.dim
+    k = len(active)
+    obj = np.zeros(d + 1)
+    obj[d] = 1.0
+    A = np.zeros((k, d + 1))
+    A[:, :d] = sys.rows[active]
+    A[:, d] = 1.0
+    lower = np.concatenate([np.full(d, -INF), [0.0]])
+    upper = np.full(d + 1, INF)
+    return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
+
+
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
-                  bounds: ParamBounds | None = None,
                   viol_tol: float = VIOL_TOL,
                   counter: LpCounter | None = None) -> ElasticSolution:
     """Minimize sum(w_j * e_j) over <a_j, x> + e_j >= 1 for the rows not in
@@ -101,8 +118,7 @@ def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
 
 
 def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
-                   k: int = 1, bounds: ParamBounds | None = None,
-                   viol_tol: float = VIOL_TOL,
+                   k: int = 1, viol_tol: float = VIOL_TOL,
                    counter: LpCounter | None = None) -> set[int]:
     """Greedy removal cover: rows whose deletion restores feasibility.
 
@@ -120,7 +136,7 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
         raise ValueError(f"unknown variant {variant!r}")
     cover: set[int] = set()
     while True:
-        sol = solve_elastic(sys, cover, bounds, viol_tol, counter)
+        sol = solve_elastic(sys, cover, viol_tol, counter)
         if sol.ninf == 0:
             return cover
         alive = [j for j in range(sys.n_rows) if j not in cover]
@@ -138,8 +154,7 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
         best_sinf = INF
         best_resolve: ElasticSolution | None = None
         for j in candidates:
-            trial = solve_elastic(sys, cover | {j}, bounds, viol_tol,
-                                  counter)
+            trial = solve_elastic(sys, cover | {j}, viol_tol, counter)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .cuts import Cut, CutPool, generate_cuts
-from .elastic import VIOL_TOL, chinneck_cover, solve_elastic
+from .elastic import VIOL_TOL, _phase1_lp, chinneck_cover, solve_elastic
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
                       solve_lp)
@@ -232,8 +231,6 @@ class EngineConfig:
     rounding_iteration: int = 5
     time_limit: float | None = None
     node_limit: int | None = None
-    workers: int = 1
-    seed: int = 0   # consumed only by test-instance generators, never the search
 
     def knapsack_on(self) -> bool:
         if self.use_knapsack is None:
@@ -265,8 +262,8 @@ def complement_direction(sys: InfeasibleSystem, cover,
                          counter: LpCounter | None = None):
     """Direction strictly separating all rows outside the cover, or None.
 
-    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1, x free; the unit
-    right-hand side is equivalent to the strict system under free scaling.
+    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1, x free
+    (``elastic._phase1_lp``).
     """
 
     non_cover = [j for j in range(sys.n_rows) if j not in cover]
@@ -274,20 +271,10 @@ def complement_direction(sys: InfeasibleSystem, cover,
         e1 = np.zeros(sys.dim)
         e1[0] = 1.0
         return e1
-    d = sys.dim
-    k = len(non_cover)
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    A = np.zeros((k, d + 1))
-    A[:, :d] = sys.rows[non_cover]
-    A[:, d] = 1.0
-    lower = np.concatenate([np.full(d, -INF), [0.0]])
-    upper = np.full(d + 1, INF)
-    sol = solve_lp(LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper),
-                   counter=counter)
+    sol = solve_lp(_phase1_lp(sys, non_cover), counter=counter)
     if sol.status is not LpStatus.OPTIMAL or sol.objective_value > feas_tol:
         return None
-    x = sol.primal[:d]
+    x = sol.primal[:sys.dim]
     norm = float(np.linalg.norm(x))
     return x / norm if norm > 0 else None
 
@@ -337,8 +324,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         return fractional[0]
 
     if cfg.branch_rule == "greedy":
-        el = solve_elastic(mip.sys, set(node.fixed1), mip.bounds,
-                           cfg.viol_tol, counter)
+        el = solve_elastic(mip.sys, set(node.fixed1), cfg.viol_tol, counter)
         violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
         pool = violated if violated else fractional
         best_j, best_score = pool[0], -1.0
@@ -402,12 +388,9 @@ class _Budget:
 
 
 class BranchCutEngine:
-    """Coordinator owning the node store, cut pool handle and incumbent.
-
-    With ``workers`` > 1 whole batches of nodes are evaluated concurrently
-    and their outcomes applied in submission order, so the reported depth
-    (and per-worker-count stats) never depends on thread scheduling.
-    """
+    """Coordinator owning the cut pool handle, the LP counter, the search
+    stats and the budget; the drivers pop one node at a time, evaluate it
+    and apply its outcome before the next pop."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
                  counter: LpCounter | None = None,
@@ -480,8 +463,8 @@ class BranchCutEngine:
                 break
 
             fresh = [c for c in generate_cuts(
-                mip.sys, s, node.fixed1, node.fixed0, mip.bounds,
-                cfg.knapsack_on(), counter=self.counter)
+                mip.sys, s, node.fixed1, node.fixed0, cfg.knapsack_on(),
+                counter=self.counter)
                 if c.members not in seen]
             if not fresh:
                 break
@@ -568,52 +551,36 @@ class BranchCutEngine:
         store.push(Node())
         exact = True
 
-        with _maybe_pool(cfg.workers) as executor:
-            while len(store):
-                if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
+        while len(store):
+            if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
+                exact = False
+                break
+            node = store.pop(incumbent_weight, cfg.int_tol)
+            if node is None:
+                break
+            out = self.bound_and_cut(node, incumbent_weight)
+            self.stats.nodes += 1
+            self.stats.cuts += out.new_cut_count
+            if out.rounding is not None and out.rounding[1] < incumbent_weight:
+                incumbent_cover = out.rounding[0]
+                incumbent_weight = out.rounding[1]
+            if out.kind is OutcomeKind.FATHOMED:
+                weight = self.mip.sys.weight_of(out.cover)
+                if weight < incumbent_weight:
+                    incumbent_cover = out.cover
+                    incumbent_weight = weight
+            elif out.kind is OutcomeKind.FRACTIONAL:
+                if out.budget_hit:
                     exact = False
+                    store.push(Node(node.fixed1, node.fixed0,
+                                    out.objective, node.tree_depth))
                     break
-                batch = store.pop_batch(cfg.workers, incumbent_weight,
-                                        cfg.int_tol)
-                if not batch:
-                    continue
-                outcomes = _evaluate(executor, self,
-                                     [(n, incumbent_weight) for n in batch])
-                for node, out in zip(batch, outcomes):
-                    self.stats.nodes += 1
-                    self.stats.cuts += out.new_cut_count
-                    if out.rounding is not None and out.rounding[1] < incumbent_weight:
-                        incumbent_cover = out.rounding[0]
-                        incumbent_weight = out.rounding[1]
-                    if out.kind is OutcomeKind.FATHOMED:
-                        weight = self.mip.sys.weight_of(out.cover)
-                        if weight < incumbent_weight:
-                            incumbent_cover = out.cover
-                            incumbent_weight = weight
-                    elif out.kind is OutcomeKind.FRACTIONAL:
-                        if out.budget_hit:
-                            exact = False
-                            store.push(Node(node.fixed1, node.fixed0,
-                                            out.objective, node.tree_depth))
-                            break
-                        base = Node(node.fixed1 | out.rc_fix1,
-                                    node.fixed0 | out.rc_fix0,
-                                    node.lower_bound, node.tree_depth)
-                        child1, child0 = expand(base, out.branch_var)
-                        child1.lower_bound = out.objective
-                        child0.lower_bound = out.objective
-                        store.push(child0)
-                        store.push(child1)
-                if not exact:
-                    break
+                store.push_children(node, out)
 
-        if exact:
-            lower = incumbent_weight
-        else:
-            open_bounds = [_int_floor_bound(b, cfg.int_tol)
-                           for b in store.bounds()]
-            lower = min([incumbent_weight] + open_bounds) if open_bounds \
-                else incumbent_weight
+        lower = incumbent_weight
+        if not exact:
+            lower = min([lower] + [_int_floor_bound(b, cfg.int_tol)
+                                   for b in store.bounds()])
         return incumbent_cover, incumbent_weight, exact, lower
 
     def run_guess(self):
@@ -627,47 +594,34 @@ class BranchCutEngine:
         cfg = self.cfg
         store = _NodeStore(cfg.node_selection)
         store.push(Node())
-        with _maybe_pool(cfg.workers) as executor:
-            while len(store):
-                if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
-                    raise BudgetExhausted(store.bounds())
-                batch = store.pop_batch(cfg.workers, INF, cfg.int_tol)
-                if not batch:
-                    continue
-                outcomes = _evaluate(executor, self, [(n, INF) for n in batch])
-                for node, out in zip(batch, outcomes):
-                    self.stats.nodes += 1
-                    self.stats.cuts += out.new_cut_count
-                    if out.kind is OutcomeKind.FATHOMED and \
-                            out.eps_value is not None and \
-                            out.eps_value > cfg.eps_pos:
-                        # Guard against a numerically spurious margin: accept
-                        # the witness only if its complement really is
-                        # satisfiable by the independent phase-1 probe.
-                        check = complement_direction(self.mip.sys, out.cover,
-                                                     cfg.feas_tol, self.counter)
-                        if check is not None:
-                            d = self.mip.dim
-                            x = out.lp.primal[:d].copy()
-                            return out.cover, out.eps_value, x
-                    if out.kind is OutcomeKind.FRACTIONAL:
-                        if out.budget_hit:
-                            raise BudgetExhausted(store.bounds())
-                        base = Node(node.fixed1 | out.rc_fix1,
-                                    node.fixed0 | out.rc_fix0,
-                                    node.lower_bound, node.tree_depth)
-                        child1, child0 = expand(base, out.branch_var)
-                        child1.lower_bound = out.objective
-                        child0.lower_bound = out.objective
-                        store.push(child0)
-                        store.push(child1)
+        while len(store):
+            if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
+                raise BudgetExhausted()
+            node = store.pop(INF, cfg.int_tol)
+            out = self.bound_and_cut(node, INF)
+            self.stats.nodes += 1
+            self.stats.cuts += out.new_cut_count
+            if out.kind is OutcomeKind.FATHOMED and \
+                    out.eps_value is not None and \
+                    out.eps_value > cfg.eps_pos:
+                # Guard against a numerically spurious margin: accept the
+                # witness only if its complement really is satisfiable by
+                # the independent phase-1 probe.
+                check = complement_direction(self.mip.sys, out.cover,
+                                             cfg.feas_tol, self.counter)
+                if check is not None:
+                    x = out.lp.primal[:self.mip.dim].copy()
+                    return out.cover, out.eps_value, x
+            if out.kind is OutcomeKind.FRACTIONAL:
+                if out.budget_hit:
+                    raise BudgetExhausted()
+                store.push_children(node, out)
         return None
 
 
 class BudgetExhausted(RuntimeError):
-    def __init__(self, open_bounds):
+    def __init__(self):
         super().__init__("search budget exhausted")
-        self.open_bounds = list(open_bounds)
 
 
 class _NodeStore:
@@ -688,13 +642,23 @@ class _NodeStore:
             heapq.heappush(self._heap, (node.lower_bound, self._seq, node))
             self._seq += 1
 
-    def pop_batch(self, width: int, incumbent_weight: float,
-                  int_tol: float) -> list[Node]:
-        """Up to ``width`` nodes, discarding any already dominated by the
-        incumbent before spending an LP on them."""
+    def push_children(self, node: Node, out: NodeOutcome) -> None:
+        """Apply the node's reduced-cost fixings and push both children, the
+        removed-row child last so that depth-first search dives on it."""
 
-        batch: list[Node] = []
-        while len(batch) < max(1, width) and len(self):
+        base = Node(node.fixed1 | out.rc_fix1, node.fixed0 | out.rc_fix0,
+                    node.lower_bound, node.tree_depth)
+        child1, child0 = expand(base, out.branch_var)
+        child1.lower_bound = out.objective
+        child0.lower_bound = out.objective
+        self.push(child0)
+        self.push(child1)
+
+    def pop(self, incumbent_weight: float, int_tol: float) -> Node | None:
+        """The next node, discarding any already dominated by the incumbent
+        before spending an LP on it; None once the store runs dry."""
+
+        while len(self):
             if self.strategy == "depth-first":
                 node = self._stack.pop()
             else:
@@ -703,8 +667,8 @@ class _NodeStore:
                     and _int_floor_bound(node.lower_bound, int_tol)
                     >= incumbent_weight):
                 continue
-            batch.append(node)
-        return batch
+            return node
+        return None
 
     def bounds(self):
         if self.strategy == "depth-first":
@@ -713,28 +677,6 @@ class _NodeStore:
 
     def __len__(self) -> int:
         return len(self._stack) + len(self._heap)
-
-
-class _NullExecutor:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _maybe_pool(workers: int):
-    if workers > 1:
-        return ThreadPoolExecutor(max_workers=workers)
-    return _NullExecutor()
-
-
-def _evaluate(executor, engine: BranchCutEngine, jobs):
-    if isinstance(executor, _NullExecutor):
-        return [engine.bound_and_cut(node, inc) for node, inc in jobs]
-    futures = [executor.submit(engine.bound_and_cut, node, inc)
-               for node, inc in jobs]
-    return [f.result() for f in futures]
 
 
 def bound_and_cut(node: Node, mip: MipModel, pool: CutPool,
@@ -808,8 +750,7 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
 
     bounds = ParamBounds.for_system(sys, cfg.c, cfg.epsilon)
     cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
-                                     cfg.heuristic_k, bounds,
-                                     cfg.viol_tol, counter))
+                                     cfg.heuristic_k, cfg.viol_tol, counter))
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight
 

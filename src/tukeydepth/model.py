@@ -139,13 +139,15 @@ class ParamBounds:
                    m_box=m_box, theta_sin=sin_theta)
 
 
-def build_system(ps: PointSet, scale_rows: bool = True,
+def build_system(ps: PointSet,
                  fold_duplicates: bool = True) -> InfeasibleSystem:
-    """Shift the points by the query, optionally unit-scale each row, fold
-    exact duplicates into weights, and move exact-zero rows to zero_offset.
+    """Shift the points by the query, unit-scale each row, fold exact
+    duplicates into weights, and move exact-zero rows to zero_offset.
 
     Scaling a row by a positive factor cannot change the sign of any inner
-    product, so the depth is invariant under ``scale_rows``.
+    product, so the depth is the same on unit rows; they keep the big-M
+    bound, epsilon and the solver tolerances meaningful whatever the scale
+    of the input coordinates.
     """
 
     raw = ps.points - ps.query[None, :]
@@ -155,12 +157,10 @@ def build_system(ps: PointSet, scale_rows: bool = True,
         if np.all(row == 0.0):
             zero_offset += 1
             continue
-        if scale_rows:
-            # Pre-dividing by the largest coordinate keeps the norm of
-            # subnormal rows from underflowing to zero.
-            row = row / np.max(np.abs(row))
-            row = row / np.linalg.norm(row)
-        kept.append(row)
+        # Pre-dividing by the largest coordinate keeps the norm of subnormal
+        # rows from underflowing to zero.
+        row = row / np.max(np.abs(row))
+        kept.append(row / np.linalg.norm(row))
 
     if fold_duplicates:
         order: list[bytes] = []

@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
+from .elastic import _phase1_lp
 from .model import InfeasibleSystem
-from .simplex import INF, LpModel, LpStatus, Sense, solve_lp
+from .simplex import LpStatus, solve_lp
 
 __all__ = [
     "GeneralPositionError",
@@ -136,26 +137,16 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
 def is_depth_zero(sys: InfeasibleSystem, feas_tol: float = 1e-9) -> bool:
     """True exactly when some direction strictly separates every data point.
 
-    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1 with x unrestricted:
-    the unit right-hand side is equivalent to the strict system because x may
-    scale freely.  Points equal to the query make strict separation
-    impossible regardless of direction.
+    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1 with x unrestricted
+    (``elastic._phase1_lp``).  Points equal to the query make strict
+    separation impossible regardless of direction.
     """
 
     if sys.zero_offset > 0:
         return False
     if sys.n_rows == 0:
         return True
-    d = sys.dim
-    k = sys.n_rows
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    A = np.zeros((k, d + 1))
-    A[:, :d] = sys.rows
-    A[:, d] = 1.0
-    lower = np.concatenate([np.full(d, -INF), [0.0]])
-    upper = np.full(d + 1, INF)
-    sol = solve_lp(LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper))
+    sol = solve_lp(_phase1_lp(sys, list(range(sys.n_rows))))
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"feasibility probe ended {sol.status}")
     return sol.objective_value <= feas_tol

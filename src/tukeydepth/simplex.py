@@ -16,7 +16,6 @@ algebra is adequate and much simpler than a factorized sparse kernel.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +29,6 @@ __all__ = [
     "LpNumericsError",
     "LpCounter",
     "solve_lp",
-    "solve_with_fixings",
 ]
 
 INF = float("inf")
@@ -116,20 +114,17 @@ class LpSolution:
 
 class LpCounter:
     """Shared counter so callers can report how many LPs a pipeline solved
-    and how many pivots they took; locked because search workers may record
-    into it concurrently."""
+    and how many pivots they took."""
 
     def __init__(self):
         self.count = 0
         self.dual_pivots = 0
         self.primal_pivots = 0
-        self._lock = threading.Lock()
 
     def record(self, sol: LpSolution) -> None:
-        with self._lock:
-            self.count += 1
-            self.dual_pivots += sol.dual_pivots
-            self.primal_pivots += sol.primal_pivots
+        self.count += 1
+        self.dual_pivots += sol.dual_pivots
+        self.primal_pivots += sol.primal_pivots
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
@@ -145,22 +140,6 @@ def solve_lp(model: LpModel, feas_tol: float = 1e-9,
     if counter is not None:
         counter.record(sol)
     return sol
-
-
-def solve_with_fixings(model: LpModel, fixed: dict[int, float],
-                       feas_tol: float = 1e-9, opt_tol: float = 1e-9,
-                       counter: LpCounter | None = None) -> LpSolution:
-    """Solve with selected variables pinned (both bounds set to the value)."""
-
-    lower = model.lower.copy()
-    upper = model.upper.copy()
-    for j, v in fixed.items():
-        if not (model.lower[j] - feas_tol <= v <= model.upper[j] + feas_tol):
-            raise ValueError(f"fixed value {v} outside bounds of variable {j}")
-        lower[j] = upper[j] = v
-    pinned = LpModel(model.objective, model.row_coeffs, list(model.senses),
-                     model.rhs, lower, upper)
-    return solve_lp(pinned, feas_tol, opt_tol, counter)
 
 
 class _Simplex:

@@ -16,8 +16,7 @@ import pytest
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import bis_cut, generate_cuts, pseudo_knapsack_select
 from tukeydepth.engine import EngineConfig, solve_depth
-from tukeydepth.model import (InfeasibleSystem, ParamBounds, PointSet,
-                              build_system)
+from tukeydepth.model import InfeasibleSystem, PointSet, build_system
 from tukeydepth.oracle import (GeneralPositionError, is_depth_zero,
                                oracle_depth_general)
 from tukeydepth.simplex import INF, LpModel, LpStatus, Sense, solve_lp
@@ -282,9 +281,8 @@ def test_criterion_08_bis_contract():
                 if feasible:
                     covers.append(set(combo))
         minimal = [c for c in covers if not any(o < c for o in covers)]
-        bounds = ParamBounds.for_system(sys_)
         cuts = [bis_cut(sys_, range(n))]
-        cuts += generate_cuts(sys_, np.full(n, 0.25), set(), set(), bounds,
+        cuts += generate_cuts(sys_, np.full(n, 0.25), set(), set(),
                               use_knapsack=True)
         for cut in cuts:
             if cut is None:
@@ -432,14 +430,11 @@ def test_criterion_11_strategy_invariance():
         sys_, depth, _ = gaussian_system(110_000 + k, n, d)
         for rule in ("greedy", "strong"):
             for select in ("depth-first", "best-first"):
-                for workers in (1, 4):
-                    cfg = EngineConfig(branch_rule=rule,
-                                       node_selection=select,
-                                       workers=workers)
-                    got = solve_depth(sys_, cfg).depth
-                    if got != depth:
-                        bad.append((k, rule, select, workers, got, depth))
+                cfg = EngineConfig(branch_rule=rule, node_selection=select)
+                got = solve_depth(sys_, cfg).depth
+                if got != depth:
+                    bad.append((k, rule, select, got, depth))
     report(11, not bad,
            "depth identical across {greedy,strong} x {depth-first,best-first}"
-           " x workers {1,4} on 50/50 instances"
+           " on 50/50 instances"
            if not bad else f"strategy mismatches: {bad[:5]}")

@@ -2,25 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from tukeydepth.binsearch import solve_depth_binary
+from tukeydepth.engine import solve_depth
 from tukeydepth.model import (InfeasibleSystem, ParamBounds, PointSet,
                               build_system, compute_bigM, lattice_epsilon)
 from tukeydepth.oracle import oracle_depth_2d
 
+from conftest import gaussian_system
+
 
 def test_build_system_plain():
     ps = PointSet(2, [[1, 0], [0, 1], [-1, -1]], [0, 0])
-    sys_ = build_system(ps, scale_rows=False)
-    assert np.array_equal(sys_.rows, [[1, 0], [0, 1], [-1, -1]])
+    sys_ = build_system(ps)
+    h = math.sqrt(0.5)
+    assert np.allclose(sys_.rows, [[1, 0], [0, 1], [-h, -h]],
+                       rtol=0, atol=1e-15)
     assert list(sys_.weights) == [1, 1, 1]
     assert sys_.zero_offset == 0
 
 
 def test_build_system_folds_duplicates():
     ps = PointSet(2, [[1, 0], [1, 0], [-1, 0]], [0, 0])
-    sys_ = build_system(ps, scale_rows=False)
+    sys_ = build_system(ps)
     assert np.array_equal(sys_.rows, [[1, 0], [-1, 0]])
     assert list(sys_.weights) == [2, 1]
 
@@ -34,7 +38,7 @@ def test_build_system_zero_row_fold():
 
 def test_build_system_scaling_normalizes():
     ps = PointSet(2, [[3, 4], [0, 2]], [0, 0])
-    sys_ = build_system(ps, scale_rows=True)
+    sys_ = build_system(ps)
     assert np.allclose(np.linalg.norm(sys_.rows, axis=1), 1.0)
 
 
@@ -57,10 +61,6 @@ def test_rebuild_idempotent():
     rng = np.random.default_rng(3)
     ps = PointSet(3, rng.normal(size=(6, 3)), rng.normal(size=3))
     first = build_system(ps)
-    unscaled = build_system(PointSet(3, first.rows, np.zeros(3)),
-                            scale_rows=False)
-    assert np.array_equal(first.rows, unscaled.rows)
-    assert np.array_equal(first.weights, unscaled.weights)
     rescaled = build_system(PointSet(3, first.rows, np.zeros(3)))
     assert np.allclose(first.rows, rescaled.rows, rtol=0, atol=1e-15)
     assert np.array_equal(first.weights, rescaled.weights)
@@ -132,8 +132,7 @@ def test_param_bounds_validation():
 
 
 def test_param_bounds_lattice_constructor():
-    sys_ = build_system(PointSet(2, [[3, 0], [0, 1], [-2, -2]], [0, 0]),
-                        scale_rows=False)
+    sys_ = build_system(PointSet(2, [[3, 0], [0, 1], [-2, -2]], [0, 0]))
     b = ParamBounds.with_lattice_epsilon(sys_, m_box=3.0)
     h = (6 * math.sqrt(2)) ** -1
     assert b.theta_sin == pytest.approx(h / (3 * math.sqrt(2)), rel=1e-12)
@@ -143,12 +142,21 @@ def test_param_bounds_lattice_constructor():
     assert b.bigM == pytest.approx(compute_bigM(sys_, 1.0), rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
-                min_size=1, max_size=10),
-       st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
-def test_scaling_preserves_depth(points, query):
-    ps = PointSet(2, np.array(points), np.array(query))
-    scaled = build_system(ps, scale_rows=True)
-    plain = build_system(ps, scale_rows=False)
-    assert oracle_depth_2d(scaled) == oracle_depth_2d(plain)
+def test_scaling_preserves_depth():
+    """Rescaling each point's offset from the query by a positive factor
+    leaves the depth alone, and both solvers prove it exactly at every scale:
+    one common factor per cloud from 1e-8 to 1e8, and independent per-point
+    factors spread over the same sixteen decades."""
+
+    for seed in range(12):
+        _, depth, pts = gaussian_system(9900 + seed, 10 + seed, 2)
+        rng = np.random.default_rng(seed)
+        factors = [np.full(len(pts), s) for s in (1e-8, 1e-4, 1e4, 1e8)]
+        factors.append(10.0 ** rng.uniform(-8, 8, len(pts)))
+        for f in factors:
+            scaled = build_system(PointSet(2, pts * f[:, None], np.zeros(2)))
+            assert oracle_depth_2d(scaled) == depth
+            for solve in (solve_depth, solve_depth_binary):
+                res = solve(scaled)
+                assert res.depth == depth
+                assert res.exact and res.certificate == "verified"

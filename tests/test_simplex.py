@@ -7,8 +7,7 @@ from tukeydepth.cuts import bis_cut
 from tukeydepth.elastic import _elastic_lp
 from tukeydepth.engine import MipForm, MipModel, complement_direction
 from tukeydepth.model import ParamBounds
-from tukeydepth.simplex import (INF, LpModel, LpStatus, Sense, solve_lp,
-                                solve_with_fixings)
+from tukeydepth.simplex import INF, LpModel, LpStatus, Sense, solve_lp
 
 from conftest import gaussian_system
 
@@ -44,18 +43,19 @@ def test_unconstrained_unbounded():
 
 
 def test_fixing_forces_value():
-    # min s subject to x + 10 s >= 1, s in [0, 1], x in [-1, 1].
-    model = lp([0, 1], [[1, 10]], [Sense.GE], [1], [-1, 0], [1, 1])
-    sol = solve_with_fixings(model, {1: 1.0})
+    # min s subject to x + 10 s >= 1, s pinned to 1, x in [-1, 1].
+    sol = solve_lp(lp([0, 1], [[1, 10]], [Sense.GE], [1], [-1, 1], [1, 1]))
     assert sol.status is LpStatus.OPTIMAL
+    assert sol.primal[1] == pytest.approx(1.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(1.0)
 
 
 def test_fixing_to_zero_leaves_row_active():
-    model = lp([0, 1], [[1, 10]], [Sense.GE], [1], [-INF, 0], [INF, 1])
-    sol = solve_with_fixings(model, {1: 0.0})
+    sol = solve_lp(lp([0, 1], [[1, 10]], [Sense.GE], [1], [-INF, 0],
+                      [INF, 0]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0)
+    assert sol.primal[1] == pytest.approx(0.0, abs=1e-12)
     assert sol.primal[0] >= 1 - 1e-9
 
 
@@ -68,18 +68,14 @@ def test_fixing_cover_binaries_gives_cover_weight():
     A = np.zeros((3, 5))
     A[:, :2] = rows
     A[np.arange(3), 2 + np.arange(3)] = M
+    pinned = np.array([0.0, 0.0, 1.0])
     model = LpModel(np.array([0, 0, 1.0, 1.0, 1.0]), A, [Sense.GE] * 3,
-                    np.full(3, eps), np.array([-1.0, -1.0, 0, 0, 0]),
-                    np.array([1.0, 1.0, 1, 1, 1]))
-    sol = solve_with_fixings(model, {2: 0.0, 3: 0.0, 4: 1.0})
+                    np.full(3, eps), np.concatenate([[-1.0, -1.0], pinned]),
+                    np.concatenate([[1.0, 1.0], pinned]))
+    sol = solve_lp(model)
     assert sol.status is LpStatus.OPTIMAL
+    assert np.allclose(sol.primal[2:], pinned, rtol=0, atol=1e-12)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fixing_outside_bounds_rejected():
-    model = lp([1], np.zeros((0, 1)), [], [], [0], [1])
-    with pytest.raises(ValueError):
-        solve_with_fixings(model, {0: 2.0})
 
 
 def test_deterministic_resolve():
