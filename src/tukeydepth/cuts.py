@@ -146,6 +146,7 @@ def bis_cut(sys: InfeasibleSystem, active, feas_tol: float = _FEAS_TOL,
 
 def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray,
                   fixed1, fixed0, use_knapsack: bool = True,
+                  feas_tol: float = _FEAS_TOL,
                   counter: LpCounter | None = None) -> list[Cut]:
     """Produce at most one hitting-set cut for the current relaxation values.
 
@@ -169,8 +170,8 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray,
             np.clip([lp_binaries[j] for j in unfixed], 0.0, 1.0))
         active = sorted(unfixed[i] for i in chosen)
         if active:
-            cut = bis_cut(sys, active, counter=counter)
+            cut = bis_cut(sys, active, feas_tol, counter)
             if cut is not None:
                 return [cut]
-    cut = bis_cut(sys, full_active, counter=counter)
+    cut = bis_cut(sys, full_active, feas_tol, counter)
     return [cut] if cut is not None else []

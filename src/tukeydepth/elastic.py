@@ -122,10 +122,11 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
                    counter: LpCounter | None = None) -> set[int]:
     """Greedy removal cover: rows whose deletion restores feasibility.
 
-    Repeatedly solves the elastic program, tries deleting each candidate row,
-    and permanently deletes the one whose removal gives the smallest SINF.
-    Stops when nothing is violated; a single violated row is taken directly
-    into the cover since it alone blocks feasibility of the current system.
+    Solves the elastic program, tries deleting each candidate row, and
+    permanently deletes the one whose removal gives the smallest SINF; that
+    winning trial is the elastic solution of the next step.  Stops when
+    nothing is violated; a single violated row is taken directly into the
+    cover since it alone blocks feasibility of the current system.
 
     ``variant`` is "full" (candidates are all violated rows) or "fast"
     (top-k candidates by the sensitivity scores).  Terminates in at most
@@ -135,10 +136,8 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     if variant not in ("full", "fast"):
         raise ValueError(f"unknown variant {variant!r}")
     cover: set[int] = set()
-    while True:
-        sol = solve_elastic(sys, cover, viol_tol, counter)
-        if sol.ninf == 0:
-            return cover
+    sol = solve_elastic(sys, cover, viol_tol, counter)
+    while sol.ninf > 0:
         alive = [j for j in range(sys.n_rows) if j not in cover]
         if sol.ninf == 1:
             only = next(j for j in alive if sol.violations[j] > viol_tol)
@@ -158,12 +157,5 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)
-
-        if best_resolve.ninf == 0:
-            return cover
-        if best_resolve.ninf == 1:
-            alive = [j for j in range(sys.n_rows) if j not in cover]
-            only = next(j for j in alive
-                        if best_resolve.violations[j] > viol_tol)
-            cover.add(only)
-            return cover
+        sol = best_resolve
+    return cover

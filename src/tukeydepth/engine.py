@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .cuts import Cut, CutPool, generate_cuts
-from .elastic import VIOL_TOL, _phase1_lp, chinneck_cover, solve_elastic
+from .elastic import (VIOL_TOL, ElasticSolution, _phase1_lp, chinneck_cover,
+                      solve_elastic)
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
                       solve_lp)
@@ -146,12 +147,20 @@ class MipModel:
 
 @dataclass
 class Node:
-    """One subproblem: binaries pinned to 1 (removed rows) or 0 (kept rows)."""
+    """One subproblem: binaries pinned to 1 (removed rows) or 0 (kept rows).
+
+    ``basis_status`` is the parent's final LP basis, where this node's first
+    LP starts (None at the root).  ``elastic`` is the greedy-branching
+    elastic solution over the rows outside ``fixed1`` once it is known; a
+    child whose ``fixed1`` equals its parent's inherits it.
+    """
 
     fixed1: frozenset = frozenset()
     fixed0: frozenset = frozenset()
     lower_bound: float = 0.0
     tree_depth: int = 0
+    basis_status: np.ndarray | None = None
+    elastic: ElasticSolution | None = None
 
 
 class OutcomeKind(Enum):
@@ -281,6 +290,7 @@ def complement_direction(sys: InfeasibleSystem, cover,
 
 def rounding_heuristic(lp: LpSolution, node: Node, mip: MipModel,
                        incumbent_weight: float = INF,
+                       feas_tol: float = 1e-9,
                        counter: LpCounter | None = None):
     """Round binaries at 0.5, keep the result only if it beats the incumbent
     and one phase-1 solve confirms the remaining rows are jointly satisfiable.
@@ -293,7 +303,7 @@ def rounding_heuristic(lp: LpSolution, node: Node, mip: MipModel,
     weight = mip.sys.weight_of(cover)
     if weight >= incumbent_weight:
         return None
-    direction = complement_direction(mip.sys, cover, counter=counter)
+    direction = complement_direction(mip.sys, cover, feas_tol, counter)
     if direction is None:
         return None
     return cover, weight, direction
@@ -305,12 +315,14 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
                            counter: LpCounter | None = None) -> int:
     """Pick the row to branch on among fractional binaries.
 
-    greedy: one elastic solve on the rows not yet removed; the fractional row
-    with the largest estimated infeasibility drop (violation x |sensitivity|
-    for violated rows, |sensitivity| alone for satisfied ones) wins, violated
-    rows first.  strong: for the most fractional candidates, solve both child
-    relaxations and keep the variable whose worse child bound is best.  All
-    ties go to the lowest row index.
+    greedy: one elastic solve on the rows not yet removed (kept on the node
+    as ``node.elastic``, or taken from there when the parent left it); the
+    fractional row with the largest estimated infeasibility drop (violation
+    x |sensitivity| for violated rows, |sensitivity| alone for satisfied
+    ones) wins, violated rows first.  strong: for the most fractional
+    candidates, solve both child relaxations, each warm-started from the
+    node LP's basis, and keep the variable whose worse child bound is best.
+    All ties go to the lowest row index.
     """
 
     s = _binary_values(mip, lp)
@@ -324,7 +336,10 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         return fractional[0]
 
     if cfg.branch_rule == "greedy":
-        el = solve_elastic(mip.sys, set(node.fixed1), cfg.viol_tol, counter)
+        if node.elastic is None:
+            node.elastic = solve_elastic(mip.sys, node.fixed1, cfg.viol_tol,
+                                         counter)
+        el = node.elastic
         violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
         pool = violated if violated else fractional
         best_j, best_score = pool[0], -1.0
@@ -348,7 +363,8 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
             f1 = node.fixed1 | {j} if fix_to_one else node.fixed1
             f0 = node.fixed0 if fix_to_one else node.fixed0 | {j}
             child = solve_lp(mip.relaxation(f1, f0, cuts),
-                             cfg.feas_tol, counter=counter)
+                             cfg.feas_tol, counter=counter,
+                             start=lp.basis_status)
             bounds_pair.append(INF if child.status is LpStatus.INFEASIBLE
                                else child.objective_value)
         score = min(bounds_pair)
@@ -410,7 +426,9 @@ class BranchCutEngine:
         Cuts keep coming while the objective improves by at least
         ``cut_improve``, the solution stays fractional, and the generator
         still produces something new; infeasibility and bound dominance end
-        the node immediately.
+        the node immediately.  The first LP starts from the parent's final
+        basis and each cut round from the previous round's: the pool only
+        appends, so those LPs' rows are a prefix of the new ones.
         """
 
         cfg = self.cfg
@@ -421,7 +439,8 @@ class BranchCutEngine:
         new_cut_count = 0
 
         lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
-                      cfg.feas_tol, counter=self.counter)
+                      cfg.feas_tol, counter=self.counter,
+                      start=node.basis_status)
         iteration = 0
         prev_obj = None
         while True:
@@ -464,7 +483,7 @@ class BranchCutEngine:
 
             fresh = [c for c in generate_cuts(
                 mip.sys, s, node.fixed1, node.fixed0, cfg.knapsack_on(),
-                counter=self.counter)
+                cfg.feas_tol, self.counter)
                 if c.members not in seen]
             if not fresh:
                 break
@@ -477,14 +496,15 @@ class BranchCutEngine:
             iteration += 1
             prev_obj = obj
             lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
-                          cfg.feas_tol, counter=self.counter)
+                          cfg.feas_tol, counter=self.counter,
+                          start=lp.basis_status)
 
             if (mip.form is MipForm.DEPTH
                     and node.tree_depth > cfg.rounding_depth
                     and iteration > cfg.rounding_iteration
                     and lp.status is LpStatus.OPTIMAL):
                 cand = rounding_heuristic(lp, node, mip, incumbent_weight,
-                                          self.counter)
+                                          cfg.feas_tol, self.counter)
                 if cand is not None and (outcome_rounding is None
                                          or cand[1] < outcome_rounding[1]):
                     outcome_rounding = cand
@@ -644,13 +664,18 @@ class _NodeStore:
 
     def push_children(self, node: Node, out: NodeOutcome) -> None:
         """Apply the node's reduced-cost fixings and push both children, the
-        removed-row child last so that depth-first search dives on it."""
+        removed-row child last so that depth-first search dives on it.  Both
+        start from the node's final basis: fixings change bounds only, so it
+        stays dual feasible."""
 
         base = Node(node.fixed1 | out.rc_fix1, node.fixed0 | out.rc_fix0,
                     node.lower_bound, node.tree_depth)
         child1, child0 = expand(base, out.branch_var)
-        child1.lower_bound = out.objective
-        child0.lower_bound = out.objective
+        for child in (child1, child0):
+            child.lower_bound = out.objective
+            child.basis_status = out.lp.basis_status
+        if child0.fixed1 == node.fixed1:
+            child0.elastic = node.elastic
         self.push(child0)
         self.push(child1)
 

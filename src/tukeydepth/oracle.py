@@ -5,7 +5,9 @@ total weight of rows with <x, a_j> <= 0, plus the weight of points equal to
 the query.  In the plane this is an angular sweep; in general dimension the
 minimum is attained at (or tiltable to) a direction orthogonal to some d-1
 rows, so enumerating those candidate normals is exact for inputs in general
-position.  No linear programming is involved, which is the point.
+position.  The enumerators ``oracle_depth_2d`` and ``oracle_depth_general``
+involve no linear programming, which is the point.  ``is_depth_zero`` is
+the exception: it answers with one phase-1 LP through ``solve_lp``.
 """
 
 from __future__ import annotations

@@ -1,17 +1,29 @@
 """Dense bounded-variable revised simplex solver.
 
-Every solve starts from the all-slack basis.  A bounded dual simplex drives
-it to primal feasibility (or proves infeasibility with a Farkas ray), then
-the primal simplex finishes with the true cost and detects unboundedness.
-Every LP this package builds is dual feasible at the slack basis, so for
-those the primal finish only prices once.  Pricing is by largest violation
-(dual) and Dantzig (primal) with a Bland's-rule fallback after a
-degenerate-iteration budget; the explicit basis inverse is refactorized on a
-fixed pivot cadence, and ties go to the lowest index everywhere, so identical
-inputs give identical output on a fixed BLAS thread configuration (the
-thread count can change the rounding of the dense products).  Problem sizes
-in this project stay small (a few hundred rows and columns), so dense
-algebra is adequate and much simpler than a factorized sparse kernel.
+A solve starts from the basis status vector of an earlier solve when the
+caller passes one (``start``) and it passes four checks: exactly one basic
+column per row, a finite bound under every column nonbasic at a bound, a
+nonsingular basis matrix, and reduced costs of the true cost that are dual
+feasible.  Otherwise it starts from the all-slack basis.  The earlier LP's
+rows must be a prefix of this one's; the appended rows open with their
+slacks basic, which leaves the reduced costs unchanged.  A bounded dual
+simplex drives the start to primal feasibility (or proves infeasibility with
+a Farkas ray), then the primal simplex finishes with the true cost and
+detects unboundedness.
+
+Every LP this package builds is dual feasible at the slack basis, and the
+search engine only passes starts that stay dual feasible: the parent node's
+final basis (a branching or reduced-cost fixing changes bounds only), the
+previous cut round's basis (cuts are appended rows), and the node LP's basis
+for strong-branching children.  So for those LPs the primal finish only
+prices once.  Pricing is by largest violation (dual) and Dantzig (primal)
+with a Bland's-rule fallback after a degenerate-iteration budget; the
+explicit basis inverse is refactorized on a fixed pivot cadence, and ties go
+to the lowest index everywhere, so identical inputs (start included) give
+identical output on a fixed BLAS thread configuration (the thread count can
+change the rounding of the dense products).  Problem sizes in this project
+stay small (a few hundred rows and columns), so dense algebra is adequate
+and much simpler than a factorized sparse kernel.
 """
 
 from __future__ import annotations
@@ -99,15 +111,18 @@ class LpModel:
 
 @dataclass
 class LpSolution:
-    """``dual_pivots`` counts basis changes of the dual pass, ``primal_pivots``
-    the basis changes and bound flips of the primal finish."""
+    """``basis_status`` holds the final status of every column of
+    [structural | slack] (``_AT_LOWER``, ``_AT_UPPER``, ``_FREE`` or
+    ``_BASIC``), the ``start`` a later solve takes.  ``dual_pivots`` counts
+    basis changes of the dual pass, ``primal_pivots`` the basis changes and
+    bound flips of the primal finish."""
 
     status: LpStatus
     primal: np.ndarray
     objective_value: float
     duals: np.ndarray
     reduced_costs: np.ndarray
-    basis: tuple[int, ...]
+    basis_status: np.ndarray
     dual_pivots: int = 0
     primal_pivots: int = 0
 
@@ -128,15 +143,21 @@ class LpCounter:
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
-             opt_tol: float = 1e-9, counter: LpCounter | None = None) -> LpSolution:
+             opt_tol: float = 1e-9, counter: LpCounter | None = None,
+             start: np.ndarray | None = None) -> LpSolution:
     """Solve the LP; status is always one of optimal/infeasible/unbounded.
+
+    ``start`` is the ``basis_status`` of an earlier solve over the same
+    structural columns whose rows are a prefix of this model's rows.  A start
+    that fails the checks of the module docstring is ignored, so the output
+    is then exactly that of a solve without it.
 
     On infeasibility the objective value is +inf and the returned duals are
     a Farkas ray, the blocked row of the basis inverse; for pure >=-row
     systems with free variables it satisfies y >= 0, y.A = 0, y.b > 0.
     """
 
-    sol = _Simplex(model, feas_tol, opt_tol).solve()
+    sol = _Simplex(model, feas_tol, opt_tol, start).solve()
     if counter is not None:
         counter.record(sol)
     return sol
@@ -147,13 +168,11 @@ class _Simplex:
 
     Variable layout: [structural | slack].  Every row gets a slack whose
     bounds encode the sense (<=: [0, inf), >=: (-inf, 0], =: [0, 0]), so the
-    all-slack basis B = I is always a valid start.  Each structural opens
-    nonbasic at the bound its cost sign needs for dual feasibility; where that
-    bound is infinite it sits at its other bound (or at 0 when free) and the
-    dual pass prices it at cost 0, leaving the primal finish to correct it.
+    all-slack basis B = I is always a valid start.
     """
 
-    def __init__(self, model: LpModel, feas_tol: float, opt_tol: float):
+    def __init__(self, model: LpModel, feas_tol: float, opt_tol: float,
+                 start: np.ndarray | None = None):
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
 
@@ -173,7 +192,19 @@ class _Simplex:
         self.upper = up
         self.b = model.rhs.astype(float).copy()
         self.cost = np.concatenate([model.objective, np.zeros(m)])
+        self.pivots_since_refactor = 0
+        # Fixed columns (equality slacks, pinned binaries) never enter.
+        self.movable = self.upper > self.lower
+        if start is None or not self._warm_start(np.asarray(start)):
+            self._slack_start(model)
 
+    def _slack_start(self, model: LpModel):
+        """All slacks basic.  Each structural opens nonbasic at the bound its
+        cost sign needs for dual feasibility; where that bound is infinite it
+        sits at its other bound (or at 0 when free) and the dual pass prices
+        it at cost 0, leaving the primal finish to correct it."""
+
+        n, m = self.n_struct, self.m
         c = model.objective
         fin_lo = model.lower > -INF
         fin_up = model.upper < INF
@@ -194,9 +225,45 @@ class _Simplex:
         self.values[n:] = self.b - model.row_coeffs @ self.values[:n]
         self.basis = np.arange(n, n + m)
         self.binv = np.eye(m)
-        self.pivots_since_refactor = 0
-        # Fixed columns (equality slacks, pinned binaries) never enter.
-        self.movable = self.upper > self.lower
+
+    def _warm_start(self, start: np.ndarray) -> bool:
+        """Open at the basis ``start`` (statuses over the structurals and a
+        prefix of the slacks; the remaining slacks are basic).  Returns False
+        unless it is a nonsingular basis with every nonbasic column at a
+        finite bound (or free at 0) and dual feasible for the true cost."""
+
+        n, m = self.n_struct, self.m
+        if start.ndim != 1 or not n <= start.size <= n + m:
+            return False
+        status = np.full(n + m, _BASIC, dtype=np.int8)
+        status[:start.size] = start
+        basic = status == _BASIC
+        at_lo = status == _AT_LOWER
+        at_up = status == _AT_UPPER
+        free = status == _FREE
+        if (np.count_nonzero(basic) != m
+                or not np.all(basic | at_lo | at_up | free)
+                or np.any(at_lo & (self.lower == -INF))
+                or np.any(at_up & (self.upper == INF))
+                or np.any(free & ((self.lower > -INF) | (self.upper < INF)))):
+            return False
+
+        self.status = status
+        self.basis = np.flatnonzero(basic)
+        self.values = np.where(at_lo, self.lower,
+                               np.where(at_up, self.upper, 0.0))
+        try:
+            self._refactorize()
+        except LpNumericsError:
+            return False
+        d = self.cost - self._duals(self.cost) @ self.A
+        tol = self.opt_tol
+        wrong = self.movable & ((((at_lo | free) & (d < -tol))
+                                 | ((at_up | free) & (d > tol))))
+        if wrong.any():
+            return False
+        self.dual_cost = self.cost
+        return True
 
     # -- linear algebra helpers -------------------------------------------
 
@@ -487,7 +554,7 @@ class _Simplex:
                 objective_value=INF,
                 duals=ray,
                 reduced_costs=-(ray @ self.A[:, :n]),
-                basis=tuple(sorted(int(j) for j in self.basis)),
+                basis_status=self.status.copy(),
                 dual_pivots=dual_pivots,
             )
 
@@ -503,7 +570,7 @@ class _Simplex:
             objective_value=obj,
             duals=y,
             reduced_costs=rc,
-            basis=tuple(sorted(int(j) for j in self.basis)),
+            basis_status=self.status.copy(),
             dual_pivots=dual_pivots,
             primal_pivots=primal_pivots,
         )

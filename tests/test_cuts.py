@@ -139,6 +139,22 @@ def test_pool_dedup_and_order():
     assert Cut((0, 1)) in pool
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+                max_size=12))
+def test_pool_snapshots_extend_earlier_ones(member_lists):
+    # A node LP warm-starts from a basis over an earlier snapshot's cut rows,
+    # so every later snapshot must begin with every earlier one, duplicates
+    # inserted in between or not.
+    pool = CutPool()
+    snapshots = [pool.snapshot()]
+    for members in member_lists:
+        pool.insert(Cut(tuple(members)))
+        snapshots.append(pool.snapshot())
+    for earlier, later in itertools.combinations(snapshots, 2):
+        assert later[:len(earlier)] == earlier
+
+
 def _minimal_covers(sys_):
     from tukeydepth.model import InfeasibleSystem
     n = sys_.n_rows

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from tukeydepth import cuts, engine
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import solve_elastic
@@ -230,6 +233,54 @@ def test_solvers_take_no_primal_pivots(rule):
         assert res.stats.nodes > 0
         assert res.stats.dual_pivots > 0
         assert res.stats.primal_pivots == 0
+
+
+@pytest.mark.parametrize("feas_tol", [1e-8, EngineConfig().feas_tol])
+def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
+    """``EngineConfig.feas_tol`` reaches the phase-1 tests of cut generation
+    (``bis_cut``) and of the rounding heuristic (``complement_direction``);
+    the default is the value both use on their own."""
+
+    bis_cut = cuts.bis_cut
+    received = {"bis_cut": [], "complement_direction": []}
+    inside_rounding = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            if name == "bis_cut" or inside_rounding:
+                received[name].append(bound.arguments["feas_tol"])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def rounding(*args, **kwargs):
+        inside_rounding.append(True)
+        try:
+            return rounding_heuristic(*args, **kwargs)
+        finally:
+            inside_rounding.pop()
+
+    monkeypatch.setattr(cuts, "bis_cut", spy("bis_cut", bis_cut))
+    monkeypatch.setattr(engine, "complement_direction",
+                        spy("complement_direction", complement_direction))
+    monkeypatch.setattr(engine, "rounding_heuristic", rounding)
+
+    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    cfg = EngineConfig(feas_tol=feas_tol, rounding_depth=0,
+                       rounding_iteration=0)
+    search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
+    # The all-rows incumbent lets every rounding reach its phase-1 check.
+    everything = frozenset(range(sys_.n_rows))
+    _, weight, exact, _ = search.run_depth(everything, sys_.n_rows)
+    assert exact and weight == depth
+    for name, tols in received.items():
+        assert tols, name
+        assert set(tols) == {feas_tol}, name
+    if feas_tol == EngineConfig().feas_tol:
+        defaults = [inspect.signature(f).parameters["feas_tol"].default
+                    for f in (bis_cut, complement_direction)]
+        assert defaults == [feas_tol, feas_tol]
 
 
 @pytest.mark.parametrize("rule", ["greedy", "strong"])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tukeydepth import cuts, engine
+from tukeydepth import cuts, engine, simplex
 from tukeydepth.cuts import bis_cut
 from tukeydepth.elastic import _elastic_lp
 from tukeydepth.engine import MipForm, MipModel, complement_direction
 from tukeydepth.model import ParamBounds
-from tukeydepth.simplex import INF, LpModel, LpStatus, Sense, solve_lp
+from tukeydepth.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, INF, LpModel,
+                                 LpStatus, Sense, solve_lp)
 
 from conftest import gaussian_system
 
@@ -78,31 +79,40 @@ def test_fixing_cover_binaries_gives_cover_weight():
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
 
+def _assert_identical(a, b):
+    assert a.status is b.status
+    assert a.objective_value == b.objective_value
+    for field in ("primal", "duals", "reduced_costs", "basis_status"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert (a.dual_pivots, a.primal_pivots) == (b.dual_pivots,
+                                                b.primal_pivots)
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(7)
     model = lp(rng.normal(size=6), rng.normal(size=(4, 6)),
                [Sense.LE] * 4, rng.uniform(1, 3, size=4),
                np.zeros(6), np.ones(6))
-    a = solve_lp(model)
-    b = solve_lp(model)
-    assert np.array_equal(a.primal, b.primal)
-    assert a.basis == b.basis
-    assert a.objective_value == b.objective_value
+    _assert_identical(solve_lp(model), solve_lp(model))
 
-    # The package's own LP shapes, each built afresh for the second solve.
+    # The package's own LP shapes, each built afresh for the second solve,
+    # and a warm re-solve of the depth relaxation after one more fixing and
+    # one more cut, started from the first solve's basis.
     sys_, _, _ = gaussian_system(7100, 18, 3)
     cut = bis_cut(sys_, range(sys_.n_rows))
+    extra = bis_cut(sys_, range(2, sys_.n_rows))
     mip = MipModel(sys_, ParamBounds.for_system(sys_))
     builders = (
         lambda: mip.relaxation(frozenset({0}), frozenset({1}), (cut,)),
         lambda: _elastic_lp(sys_, list(range(1, sys_.n_rows))),
     )
     for build in builders:
-        a = solve_lp(build())
-        b = solve_lp(build())
-        assert np.array_equal(a.primal, b.primal)
-        assert a.basis == b.basis
-        assert a.objective_value == b.objective_value
+        _assert_identical(solve_lp(build()), solve_lp(build()))
+    start = solve_lp(builders[0]()).basis_status
+    child = (frozenset({0}), frozenset({1, 2}), (cut, extra))
+    a = solve_lp(mip.relaxation(*child), start=start)
+    b = solve_lp(mip.relaxation(*child), start=start.copy())
+    _assert_identical(a, b)
 
 
 def _check_kkt(model: LpModel, sol, tol=1e-6):
@@ -283,3 +293,122 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
             assert sol.status is LpStatus.OPTIMAL, name
             assert sol.objective_value == pytest.approx(
                 ref.fun, abs=1e-7, rel=1e-7), name
+
+
+def _count_warm_starts(monkeypatch) -> list[bool]:
+    """Record whether each solve given a start accepted it."""
+
+    accepted = []
+    warm_start = simplex._Simplex._warm_start
+
+    def spy(self, start):
+        ok = warm_start(self, start)
+        accepted.append(ok)
+        return ok
+
+    monkeypatch.setattr(simplex._Simplex, "_warm_start", spy)
+    return accepted
+
+
+def _random_cuts(rng, rows: list[int], dim: int, count: int):
+    return tuple(cuts.Cut(tuple(rng.choice(rows, size=min(len(rows), k),
+                                           replace=False)))
+                 for k in rng.integers(1, dim + 2, size=count))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_warm_start_after_cuts_and_fixings(seed, monkeypatch):
+    """Re-solve a depth or guess relaxation from its parent's basis after
+    (a) appended cut rows, (b) one more binary fixed to 0 or 1, and (c)
+    both: the start holds, the answer is scipy's and no primal pivot runs."""
+
+    rng = np.random.default_rng(7300 + seed)
+    sys_, depth, _ = gaussian_system(7300 + seed, int(rng.integers(10, 21)),
+                                     2 + seed % 3)
+    n = sys_.n_rows
+    bounds = ParamBounds.for_system(sys_)
+    mip = (MipModel(sys_, bounds) if seed % 2 == 0 else
+           MipModel(sys_, bounds, MipForm.GUESS, guess=max(3, depth - 1)))
+    fix1 = frozenset(int(j) for j in rng.choice(n, size=seed % 2,
+                                                replace=False))
+    fix0 = frozenset(int(j) for j in rng.choice(
+        [j for j in range(n) if j not in fix1], size=seed % 3,
+        replace=False))
+    free = [j for j in range(n) if j not in fix1 and j not in fix0]
+    base_cuts = _random_cuts(rng, free, sys_.dim, 2)
+    parent = solve_lp(mip.relaxation(fix1, fix0, base_cuts))
+    assert parent.status is LpStatus.OPTIMAL
+
+    s = parent.primal[sys_.dim:sys_.dim + n]
+    fractional = [j for j in free if 1e-9 < s[j] < 1 - 1e-9]
+    j = int(rng.choice(fractional if fractional else free))
+    more1, more0 = (fix1 | {j}, fix0) if rng.random() < 0.5 else \
+        (fix1, fix0 | {j})
+    new_cuts = base_cuts + _random_cuts(rng, free, sys_.dim, 3)
+    children = {"cuts": (fix1, fix0, new_cuts),
+                "fixing": (more1, more0, base_cuts),
+                "both": (more1, more0, new_cuts)}
+
+    accepted = _count_warm_starts(monkeypatch)
+    for name, child in children.items():
+        model = mip.relaxation(*child)
+        warm = solve_lp(model, start=parent.basis_status)
+        ref = _scipy_reference(model)
+        assert accepted[-1], name
+        assert warm.primal_pivots == 0, name
+        if ref.status == 2:
+            assert warm.status is LpStatus.INFEASIBLE, name
+            continue
+        assert ref.status == 0, name
+        assert warm.status is LpStatus.OPTIMAL, name
+        assert warm.objective_value == pytest.approx(ref.fun, abs=1e-7,
+                                                     rel=1e-7), name
+        _check_kkt(model, warm)
+
+
+def _unusable_start(kind: str):
+    """An LP and a start that the kernel must refuse."""
+
+    if kind == "singular":
+        # Columns 0 and 1 are equal, so a basis holding both is singular.
+        model = lp([1, 1, 2], [[1, 1, 0], [2, 2, 1], [0, 0, 1]],
+                   [Sense.GE] * 3, [1, 2, 0.5], [0, 0, 0], [5, 5, 5])
+        return model, np.array([_BASIC, _BASIC, _AT_LOWER, _AT_UPPER,
+                                _AT_UPPER, _BASIC], dtype=np.int8)
+    sys_, _, _ = gaussian_system(7200, 14, 3)
+    d, n = sys_.dim, sys_.n_rows
+    if kind == "infinite_bound":
+        # The elastic LP's x is free; nonbasic at its lower bound it has none.
+        model = _elastic_lp(sys_, list(range(n)))
+        start = np.full(d + 2 * n, _BASIC, dtype=np.int8)
+        start[:d + n] = _AT_LOWER
+        return model, start
+    cut = bis_cut(sys_, range(n))
+    model = MipModel(sys_, ParamBounds.for_system(sys_)).relaxation(
+        frozenset({0}), frozenset({1}), (cut,))
+    status = solve_lp(model).basis_status
+    if kind == "short":
+        return model, status[:model.columns - 1]
+    if kind == "long":
+        return model, np.append(status, np.int8(_BASIC))
+    if kind == "extra_basic":
+        start = status.copy()
+        start[np.flatnonzero(start != _BASIC)[0]] = _BASIC
+        return model, start
+    assert kind == "dual_infeasible"
+    # Slack basis with every binary at its upper bound: their costs are the
+    # positive row weights, so the reduced costs have the wrong sign.
+    start = np.full(model.columns + model.n_rows, _BASIC, dtype=np.int8)
+    start[:d] = _AT_LOWER
+    start[d:d + n] = _AT_UPPER
+    return model, start
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "extra_basic", "singular",
+                                  "dual_infeasible", "infinite_bound"])
+def test_unusable_start_falls_back_to_cold(kind, monkeypatch):
+    model, start = _unusable_start(kind)
+    accepted = _count_warm_starts(monkeypatch)
+    warm = solve_lp(model, start=start)
+    assert accepted == [False]
+    _assert_identical(warm, solve_lp(model))
