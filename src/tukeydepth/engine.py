@@ -121,13 +121,13 @@ class MipModel:
             senses.append(Sense.LE)
             rhs.append(float(self.guess))
 
-        for cut in cuts:
-            crow = np.zeros((1, ncol))
-            for j in cut.members:
-                crow[0, d + j] = 1.0
-            rows.append(crow)
-            senses.append(Sense.GE)
-            rhs.append(1.0)
+        if cuts:
+            crows = np.zeros((len(cuts), ncol))
+            crows[[k for k, cut in enumerate(cuts) for _ in cut.members],
+                  [d + j for cut in cuts for j in cut.members]] = 1.0
+            rows.append(crows)
+            senses += [Sense.GE] * len(cuts)
+            rhs += [1.0] * len(cuts)
 
         lower = np.zeros(ncol)
         upper = np.ones(ncol)

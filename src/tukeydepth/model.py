@@ -151,16 +151,17 @@ def build_system(ps: PointSet,
     """
 
     raw = ps.points - ps.query[None, :]
-    zero_offset = 0
-    kept: list[np.ndarray] = []
-    for row in raw:
-        if np.all(row == 0.0):
-            zero_offset += 1
-            continue
-        # Pre-dividing by the largest coordinate keeps the norm of subnormal
-        # rows from underflowing to zero.
-        row = row / np.max(np.abs(row))
-        kept.append(row / np.linalg.norm(row))
+    nonzero = np.any(raw != 0.0, axis=1)
+    zero_offset = int(raw.shape[0] - np.count_nonzero(nonzero))
+    kept = raw[nonzero]
+    # Pre-dividing by the largest coordinate keeps the norm of subnormal
+    # rows from underflowing to zero.
+    kept = kept / np.max(np.abs(kept), axis=1)[:, None]
+    # The batched 1 x d by d x 1 product is the same dot product that
+    # np.linalg.norm takes of one row, so every row comes out bit for bit as
+    # a per-row norm gives it; np.linalg.norm(axis=1) sums in another order.
+    norms = np.sqrt((kept[:, None, :] @ kept[:, :, None])[:, 0, 0])
+    kept = kept / norms[:, None]
 
     if fold_duplicates:
         order: list[bytes] = []

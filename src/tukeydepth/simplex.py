@@ -21,9 +21,16 @@ with a Bland's-rule fallback after a degenerate-iteration budget; the
 explicit basis inverse is refactorized on a fixed pivot cadence, and ties go
 to the lowest index everywhere, so identical inputs (start included) give
 identical output on a fixed BLAS thread configuration (the thread count can
-change the rounding of the dense products).  Problem sizes in this project
-stay small (a few hundred rows and columns), so dense algebra is adequate
-and much simpler than a factorized sparse kernel.
+change the rounding of the dense products).
+
+Between pivots the dual pass carries its working state with the basis
+instead of re-deriving it: the basic values with their bounds, and a sign
+per column that says which way it may enter (free columns apart).  Each
+pivot updates them in place; every refactorization, periodic or forced by a
+near-singular pivot, recomputes the basic values and the pass re-reads them.
+Problem sizes in this project stay small (a few hundred rows and columns),
+so dense algebra is adequate and much simpler than a factorized sparse
+kernel.
 """
 
 from __future__ import annotations
@@ -55,6 +62,11 @@ _REFACTOR_EVERY = 100
 _DEGENERATE_BUDGET = 60
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-12
+# A product-form update with a pivot below this rebuilds the inverse instead.
+_SINGULAR_PIVOT = 1e-8
+# Entries of the entering column at or below this leave their row of the
+# inverse untouched in the update.
+_UPDATE_DROP = 1e-14
 
 
 class Sense(str, Enum):
@@ -181,15 +193,11 @@ class _Simplex:
         self.m = m
 
         self.A = np.hstack([model.row_coeffs, np.eye(m)])
-        lo = np.concatenate([model.lower, np.zeros(m)])
-        up = np.concatenate([model.upper, np.full(m, INF)])
-        for i, sense in enumerate(model.senses):
-            if sense is Sense.GE:
-                lo[n + i], up[n + i] = -INF, 0.0
-            elif sense is Sense.EQ:
-                up[n + i] = 0.0
-        self.lower = lo
-        self.upper = up
+        ge = np.array([s is Sense.GE for s in model.senses], dtype=bool)
+        eq = np.array([s is Sense.EQ for s in model.senses], dtype=bool)
+        self.lower = np.concatenate([model.lower, np.where(ge, -INF, 0.0)])
+        self.upper = np.concatenate([model.upper,
+                                     np.where(ge | eq, 0.0, INF)])
         self.b = model.rhs.astype(float).copy()
         self.cost = np.concatenate([model.objective, np.zeros(m)])
         self.pivots_since_refactor = 0
@@ -225,6 +233,7 @@ class _Simplex:
         self.values[n:] = self.b - model.row_coeffs @ self.values[:n]
         self.basis = np.arange(n, n + m)
         self.binv = np.eye(m)
+        self.dual_rc = self.dual_cost - self._duals(self.dual_cost) @ self.A
 
     def _warm_start(self, start: np.ndarray) -> bool:
         """Open at the basis ``start`` (statuses over the structurals and a
@@ -263,6 +272,7 @@ class _Simplex:
         if wrong.any():
             return False
         self.dual_cost = self.cost
+        self.dual_rc = d
         return True
 
     # -- linear algebra helpers -------------------------------------------
@@ -304,9 +314,11 @@ class _Simplex:
         score = np.where(eligible, np.abs(rc), -1.0)
         return int(np.argmax(score))
 
-    def _dual(self, cost: np.ndarray) -> tuple[np.ndarray | None, int]:
+    def _dual(self, cost: np.ndarray,
+              d: np.ndarray) -> tuple[np.ndarray | None, int]:
         """Bounded dual simplex from a basis that is dual feasible for
-        ``cost``, run until every basic variable is within its bounds.
+        ``cost``, whose reduced costs ``d`` it updates in place, run until
+        every basic variable is within its bounds.
 
         Returns (None, pivots) on primal feasibility, or (ray, pivots) when a
         violated row admits no entering column: the ray is that row of the
@@ -315,12 +327,32 @@ class _Simplex:
         Harris two-pass ratio test on the pivot row, preferring the largest
         pivot among near-ties and then the lowest index.  After a run of
         degenerate steps both choices switch to Bland's lowest index.
+
+        The pass carries its working state with the basis and updates it in
+        place on each pivot: the basic values ``xb`` and their bounds
+        ``lb``/``ub``, and a sign per column, +1 for a movable column at its
+        lower bound, -1 at its upper bound and 0 for a basic or fixed one
+        (free columns are tracked apart, and only when the LP has any).
+        ``values`` of the basic columns is written back on exit.  A
+        refactorization recomputes the basic values, so ``xb`` is re-read
+        after every one, including the rebuild inside ``_update_binv``.
         """
 
         if self.m == 0:
             return None, 0
         A = self.A
-        d = cost - self._duals(cost) @ A
+        basis = self.basis
+        status = self.status
+        values = self.values
+        xb = values[basis]
+        lb = self.lower[basis]
+        ub = self.upper[basis]
+        sgn = np.zeros(status.size)
+        sgn[self.movable & (status == _AT_LOWER)] = 1.0
+        sgn[self.movable & (status == _AT_UPPER)] = -1.0
+        free = status == _FREE
+        has_free = bool(free.any())
+        feas_tol = self.feas_tol
         degenerate_run = 0
         bland = False
         pivots = 0
@@ -332,19 +364,17 @@ class _Simplex:
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 d = cost - self._duals(cost) @ A
+                xb = values[basis]
 
-            vb = self.values[self.basis]
-            below = self.lower[self.basis] - vb
-            above = vb - self.upper[self.basis]
-            violation = np.maximum(below, above)
-            rows = np.flatnonzero(violation > self.feas_tol)
-            if rows.size == 0:
+            violation = np.maximum(lb - xb, xb - ub)
+            r = int(violation.argmax())
+            if not violation[r] > feas_tol:
+                values[basis] = xb
                 return None, pivots
             if bland:
-                r = int(rows[np.argmin(self.basis[rows])])
-            else:
-                r = int(np.argmax(violation))
-            to_upper = above[r] > 0
+                rows = (violation > feas_tol).nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
+            to_upper = xb[r] - ub[r] > 0
             sign = 1.0 if to_upper else -1.0
 
             # Dual step d -= theta * alpha with theta = sign * t, t >= 0: a
@@ -353,24 +383,23 @@ class _Simplex:
             # alpha_j != 0, since its reduced cost must stay zero.
             alpha = self.binv[r] @ A
             sa = sign * alpha
-            st = self.status
-            elig = self.movable & (
-                ((st == _AT_LOWER) & (sa > _PIVOT_TOL))
-                | ((st == _AT_UPPER) & (sa < -_PIVOT_TOL))
-                | ((st == _FREE) & (np.abs(sa) > _PIVOT_TOL)))
-            idx = np.flatnonzero(elig)
+            elig = sgn * sa > _PIVOT_TOL
+            if has_free:
+                elig |= free & (np.abs(sa) > _PIVOT_TOL)
+            idx = elig.nonzero()[0]
             if idx.size == 0:
+                values[basis] = xb
                 return sign * self.binv[r], pivots
 
             mag = np.abs(alpha[idx])
             dj = d[idx]
-            sj = st[idx]
-            room = np.maximum(np.where(sj == _AT_LOWER, dj,
-                                       np.where(sj == _AT_UPPER, -dj,
-                                                np.abs(dj))), 0.0)
+            room = sgn[idx] * dj
+            if has_free:
+                room = np.where(free[idx], np.abs(dj), room)
+            np.maximum(room, 0.0, out=room)
             ratio = room / mag
             if bland:
-                tie = np.flatnonzero(ratio <= ratio.min() + _RATIO_TIE)
+                tie = (ratio <= ratio.min() + _RATIO_TIE).nonzero()[0]
                 solid = tie[mag[tie] >= 1e-7 * mag[tie].max()]
                 pick = int(solid[0])
             else:
@@ -380,23 +409,31 @@ class _Simplex:
                 limit = float(((room + 0.5 * self.opt_tol) / mag).min())
                 cands = ratio <= limit
                 best = float(mag[cands].max())
-                pick = int(np.flatnonzero(cands & (mag >= 0.5 * best))[0])
+                pick = int((cands & (mag >= 0.5 * best)).argmax())
             q = int(idx[pick])
             t = float(ratio[pick])
 
             d -= (sign * t) * alpha
             col = self.binv @ A[:, q]
-            jl = int(self.basis[r])
-            bound = self.upper[jl] if to_upper else self.lower[jl]
-            step = (vb[r] - bound) / col[r]
-            self.values[self.basis] -= step * col
-            self.values[q] += step
-            self.values[jl] = bound
-            self.status[jl] = _AT_UPPER if to_upper else _AT_LOWER
-            self.status[q] = _BASIC
-            self.basis[r] = q
+            jl = int(basis[r])
+            bound = ub[r] if to_upper else lb[r]
+            step = (xb[r] - bound) / col[r]
+            xb -= step * col
+            xb[r] = values[q] + step
+            values[jl] = bound
+            status[jl] = _AT_UPPER if to_upper else _AT_LOWER
+            status[q] = _BASIC
+            if self.movable[jl]:
+                sgn[jl] = -1.0 if to_upper else 1.0
+            sgn[q] = 0.0
+            if has_free:
+                free[q] = False
+            basis[r] = q
+            lb[r] = self.lower[q]
+            ub[r] = self.upper[q]
             d[q] = 0.0
-            self._update_binv(col, r)
+            if self._update_binv(col, r):
+                xb = values[basis]
             self.pivots_since_refactor += 1
             pivots += 1
 
@@ -529,24 +566,32 @@ class _Simplex:
             return self.lower[j]
         return self.values[j]
 
-    def _update_binv(self, col: np.ndarray, pos: int):
+    def _update_binv(self, col: np.ndarray, pos: int) -> bool:
+        """Product-form update of the inverse for ``col`` entering the basis
+        at row ``pos``.  Returns True when the pivot was too small and the
+        inverse was rebuilt instead, which also recomputes the basic values."""
+
         piv = col[pos]
-        if abs(piv) < 1e-8:
+        if abs(piv) < _SINGULAR_PIVOT:
             # A near-singular product update would poison the inverse;
             # rebuilding from the actual basis is always safe.
             self._refactorize()
-            return
-        self.binv[pos, :] /= piv
-        other = np.abs(col) > 1e-14
-        other[pos] = False
-        if other.any():
-            self.binv[other, :] -= np.outer(col[other], self.binv[pos, :])
+            return True
+        binv = self.binv
+        binv[pos] /= piv
+        # Rows whose entry is (near) zero are skipped rather than updated
+        # with a zero multiple: x - 0 * y would turn a -0.0 into 0.0.
+        keep = np.abs(col) > _UPDATE_DROP
+        keep[pos] = False
+        np.subtract(binv, col[:, None] * binv[pos], out=binv,
+                    where=keep[:, None])
+        return False
 
     # -- driver -------------------------------------------------------------
 
     def solve(self) -> LpSolution:
         n = self.n_struct
-        ray, dual_pivots = self._dual(self.dual_cost)
+        ray, dual_pivots = self._dual(self.dual_cost, self.dual_rc)
         if ray is not None:
             return LpSolution(
                 status=LpStatus.INFEASIBLE,

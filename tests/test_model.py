@@ -49,6 +49,57 @@ def test_build_system_unfolded_variant():
     assert list(sys_.weights) == [1, 1, 1]
 
 
+def _build_system_per_row(ps: PointSet, fold_duplicates: bool):
+    """The row-at-a-time construction that build_system vectorizes."""
+
+    zero_offset = 0
+    kept = []
+    for row in ps.points - ps.query[None, :]:
+        if np.all(row == 0.0):
+            zero_offset += 1
+            continue
+        row = row / np.max(np.abs(row))
+        kept.append(row / np.linalg.norm(row))
+    rows, weights = [], []
+    for row in kept:
+        for k, seen in enumerate(rows if fold_duplicates else ()):
+            if seen.tobytes() == row.tobytes():
+                weights[k] += 1
+                break
+        else:
+            rows.append(row)
+            weights.append(1)
+    return (np.array(rows, dtype=float).reshape(len(rows), ps.dim),
+            np.array(weights, dtype=np.int64), zero_offset)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("fold", [True, False])
+def test_build_system_matches_per_row_reference(dim, fold):
+    rng = np.random.default_rng(40 + dim)
+    clouds = []
+    # At the origin the tiny offsets below stay subnormal rows; elsewhere
+    # they round away and leave zero rows.
+    for query in (np.zeros(dim), rng.normal(size=dim)):
+        clouds.append((np.zeros((0, dim)), query))
+        for _ in range(10):
+            n = int(rng.integers(1, 60))
+            pts = rng.normal(size=(n, dim))
+            pts *= 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+            pts += query
+            picks = rng.integers(0, n, size=int(rng.integers(0, 4)))
+            tiny = query + rng.normal(size=(2, dim)) * 5e-324
+            pts = np.vstack([pts, pts[picks], np.tile(query, (2, 1)), tiny])
+            clouds.append((rng.permutation(pts), query))
+    for pts, query in clouds:
+        ps = PointSet(dim, pts, query)
+        sys_ = build_system(ps, fold_duplicates=fold)
+        rows, weights, zero_offset = _build_system_per_row(ps, fold)
+        assert np.array_equal(sys_.rows, rows)
+        assert np.array_equal(sys_.weights, weights)
+        assert sys_.zero_offset == zero_offset
+
+
 def test_weight_accounting():
     ps = PointSet(2, [[1, 0], [1, 0], [0, 0], [0, 1]], [0, 0])
     sys_ = build_system(ps)

@@ -88,7 +88,27 @@ def _assert_identical(a, b):
                                                 b.primal_pivots)
 
 
-def test_deterministic_resolve():
+# Kernel paths the package's own LPs seldom or never reach, each forced by
+# one module constant: Bland's rule after every degenerate step, a
+# refactorization after every pivot or every second one, and the
+# near-singular rebuild of the inverse on every basis change.
+_FORCINGS = {
+    "bland": ("_DEGENERATE_BUDGET", 0),
+    "refactor_every_1": ("_REFACTOR_EVERY", 1),
+    "refactor_every_2": ("_REFACTOR_EVERY", 2),
+    "rebuild": ("_SINGULAR_PIVOT", 1e300),
+}
+
+
+def test_deterministic_resolve(monkeypatch):
+    _resolve_twice()
+    for forcing in _FORCINGS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, *forcing)
+            _resolve_twice()
+
+
+def _resolve_twice():
     rng = np.random.default_rng(7)
     model = lp(rng.normal(size=6), rng.normal(size=(4, 6)),
                [Sense.LE] * 4, rng.uniform(1, 3, size=4),
@@ -240,6 +260,114 @@ def test_wrong_sign_costs_take_the_primal_finish():
             finished_by_primal += mine.primal_pivots > 0
     assert all(seen.values()), seen
     assert finished_by_primal > 0
+
+
+def _degenerate_lp(rng):
+    """A random LP with boxed, half-bounded and free columns, all three row
+    senses and zero right-hand sides on about half the rows, so that many of
+    its vertices are degenerate."""
+
+    n = int(rng.integers(2, 8))
+    m = int(rng.integers(2, 10))
+    # boxed, [l, inf), (-inf, u], free
+    kind = rng.choice(4, size=n, p=[0.4, 0.25, 0.25, 0.1])
+    lower = np.where(kind <= 1, rng.uniform(-2, 0, n), -INF)
+    upper = np.where((kind == 0) | (kind == 2), rng.uniform(0.5, 3, n), INF)
+    senses = [Sense.GE if rng.random() < 0.4 else
+              (Sense.LE if rng.random() < 0.8 else Sense.EQ)
+              for _ in range(m)]
+    rows = rng.normal(size=(m, n))
+    rows[rng.random((m, n)) < 0.3] = 0.0
+    rhs = np.where(rng.random(m) < 0.5, 0.0, rng.normal(size=m))
+    return lp(rng.normal(size=n), rows, senses, rhs, lower, upper)
+
+
+def _farkas_system(rng):
+    """An infeasible pure >= system over free columns: k random rows and the
+    negation of one of them, all with right-hand side 1."""
+
+    d = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 7))
+    base = rng.normal(size=(k, d))
+    rows = np.vstack([base, -base[rng.integers(0, k)][None, :]])
+    m = rows.shape[0]
+    return lp(rng.normal(size=d), rows, [Sense.GE] * m, np.ones(m),
+              np.full(d, -INF), np.full(d, INF))
+
+
+@pytest.mark.parametrize("forcing", list(_FORCINGS))
+def test_forced_kernel_paths(forcing, monkeypatch):
+    """The dual pass carries the basic values between pivots and must
+    re-read them after every refactorization.  The package's own LPs take
+    at most a few dozen pivots and seldom reach these paths, so force each
+    one and check the results against scipy (status, objective, KKT), the
+    basic values against the basis, and the Farkas rays of infeasible >=
+    systems."""
+
+    rng = np.random.default_rng(23)
+    models = [_degenerate_lp(rng) for _ in range(300)]
+    farkas = [_farkas_system(rng) for _ in range(40)]
+
+    refactors = [0]
+    refactorize = simplex._Simplex._refactorize
+
+    def counting(self):
+        refactors[0] += 1
+        refactorize(self)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactorize", counting)
+    default = [solve_lp(model) for model in models + farkas]
+    default_refactors, refactors[0] = refactors[0], 0
+
+    monkeypatch.setattr(simplex, *_FORCINGS[forcing])
+    seen = {status: 0 for status in LpStatus}
+    changed = 0
+    resynced = 0
+    for model, before in zip(models, default):
+        kernel = simplex._Simplex(model, 1e-9, 1e-9)
+        mine = kernel.solve()
+        # The basic values handed back solve B x_B = b - N x_N; when a
+        # refactorization followed the last pivot, they are the recomputed
+        # ones bit for bit.
+        nb = kernel.status != _BASIC
+        xb = kernel.binv @ (kernel.b - kernel.A[:, nb] @ kernel.values[nb])
+        assert np.allclose(kernel.values[kernel.basis], xb, rtol=1e-7,
+                           atol=1e-7)
+        if (forcing in ("refactor_every_1", "rebuild") and mine.dual_pivots
+                and not mine.primal_pivots):
+            assert np.array_equal(kernel.values[kernel.basis], xb)
+            resynced += 1
+        ref = _scipy_reference(model)
+        expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
+                    3: LpStatus.UNBOUNDED}[ref.status]
+        assert mine.status is expected
+        seen[expected] += 1
+        if expected is LpStatus.OPTIMAL:
+            assert mine.objective_value == pytest.approx(ref.fun, abs=1e-7,
+                                                         rel=1e-7)
+            _check_kkt(model, mine)
+        changed += (mine.dual_pivots, mine.primal_pivots) != (
+            before.dual_pivots, before.primal_pivots)
+    assert all(seen.values()), seen
+
+    for model in farkas:
+        sol = solve_lp(model)
+        assert sol.status is LpStatus.INFEASIBLE
+        y = sol.duals
+        assert np.all(y >= -1e-9)
+        assert np.linalg.norm(y @ model.row_coeffs) <= 1e-7 * max(
+            1.0, np.abs(y).sum())
+        assert y @ model.rhs > 1e-7
+
+    # Each forcing must have taken its path: Bland's rule picks other
+    # pivots than the default rules on some LP, and the other forcings
+    # refactorize more often than the default constants do.
+    if forcing == "bland":
+        assert changed > 0
+    else:
+        assert refactors[0] > default_refactors
+    if forcing in ("refactor_every_1", "rebuild"):
+        assert resynced > 0
 
 
 def _spy_models(monkeypatch, module, call):
