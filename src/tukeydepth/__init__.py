@@ -3,13 +3,17 @@
 The depth of a query point is found as the minimum-weight set of data
 points whose removal lets one open halfspace exclude everything else: a
 self-contained bounded-variable simplex kernel solves the relaxations, a
-greedy elastic heuristic seeds the incumbent, phase-1 infeasible-subsystem
-cuts tighten the tree, a bisection variant cross-checks without a fixed
-epsilon, and a combinatorial oracle verifies everything independently.
+greedy elastic heuristic seeds the incumbent, hitting-set cuts over the
+irreducible infeasible subsystems tighten the tree, a bisection variant
+cross-checks without a fixed epsilon, and a combinatorial oracle verifies
+everything independently.  One LP over the alternative polytope
+{y >= 0 : sum y_j a_j = 0, sum y_j = 1} serves every subsystem question:
+its optimal vertex is a cut, and its Farkas ray, when it is infeasible, is
+a strictly separating direction and so a depth certificate.
 """
 
 from .binsearch import solve_depth_binary
-from .cuts import Cut, CutPool, bis_cut, generate_cuts, pseudo_knapsack_select
+from .cuts import Cut, CutPool, bis_cut, generate_cuts
 from .elastic import ElasticSolution, chinneck_cover, solve_elastic
 from .engine import (DepthResult, EngineConfig, MipForm, MipModel, Node,
                      NodeOutcome, SolveStats, bound_and_cut, expand,
@@ -28,7 +32,7 @@ __all__ = [
     "compute_bigM", "lattice_epsilon",
     "LpModel", "LpSolution", "LpStatus", "Sense", "solve_lp",
     "ElasticSolution", "solve_elastic", "chinneck_cover",
-    "Cut", "CutPool", "pseudo_knapsack_select", "bis_cut", "generate_cuts",
+    "Cut", "CutPool", "bis_cut", "generate_cuts",
     "MipForm", "MipModel", "Node", "NodeOutcome", "SolveStats",
     "DepthResult", "EngineConfig", "solve_depth", "bound_and_cut",
     "select_branch_variable", "expand", "rounding_heuristic",

@@ -111,7 +111,6 @@ def _config_from_args(args) -> EngineConfig:
     return EngineConfig(
         branch_rule=args.rule,
         node_selection=args.select,
-        use_knapsack={"auto": None, "on": True, "off": False}[args.knapsack],
         strong_k=args.strong_k,
         cut_improve=args.cut_improve,
         max_cut_rounds=args.max_cut_rounds,
@@ -266,8 +265,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=["greedy", "strong"], default="greedy")
     p.add_argument("--select", choices=["depth-first", "best-first"],
                    default="depth-first")
-    p.add_argument("--knapsack", choices=["auto", "on", "off"], default="auto",
-                   help="pseudo-knapsack row selection for cut generation")
     p.add_argument("--strong-k", type=int, default=4)
     p.add_argument("--cut-improve", type=float, default=1e-3)
     p.add_argument("--max-cut-rounds", type=int, default=20)

@@ -53,24 +53,6 @@ def _elastic_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
     return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
 
 
-def _phase1_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
-    """min x0 over <a_j, x> + x0 >= 1 for the rows in ``active``, x free,
-    x0 >= 0.  The optimum is zero exactly when those rows admit a common
-    strict solution: the unit right-hand side is equivalent to the strict
-    system because x may scale freely."""
-
-    d = sys.dim
-    k = len(active)
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    A = np.zeros((k, d + 1))
-    A[:, :d] = sys.rows[active]
-    A[:, d] = 1.0
-    lower = np.concatenate([np.full(d, -INF), [0.0]])
-    upper = np.full(d + 1, INF)
-    return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
-
-
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                   viol_tol: float = VIOL_TOL,
                   counter: LpCounter | None = None) -> ElasticSolution:

@@ -18,9 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cuts import Cut, CutPool, generate_cuts
-from .elastic import (VIOL_TOL, ElasticSolution, _phase1_lp, chinneck_cover,
-                      solve_elastic)
+from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
+from .elastic import VIOL_TOL, ElasticSolution, chinneck_cover, solve_elastic
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
                       solve_lp)
@@ -223,7 +222,6 @@ class DepthResult:
 class EngineConfig:
     branch_rule: str = "greedy"            # "greedy" | "strong"
     node_selection: str = "depth-first"    # "depth-first" | "best-first"
-    use_knapsack: bool | None = None       # None: on for greedy, off for strong
     strong_k: int = 4
     cut_improve: float = 1e-3
     max_cut_rounds: int = 20
@@ -240,11 +238,6 @@ class EngineConfig:
     rounding_iteration: int = 5
     time_limit: float | None = None
     node_limit: int | None = None
-
-    def knapsack_on(self) -> bool:
-        if self.use_knapsack is None:
-            return self.branch_rule == "greedy"
-        return self.use_knapsack
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +262,16 @@ def _is_integral(s: np.ndarray, int_tol: float) -> bool:
 def complement_direction(sys: InfeasibleSystem, cover,
                          feas_tol: float = 1e-9,
                          counter: LpCounter | None = None):
-    """Direction strictly separating all rows outside the cover, or None.
+    """Unit direction strictly separating all rows outside the cover, or
+    None when they admit none.
 
-    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1, x free
-    (``elastic._phase1_lp``).
+    One solve of the alternative LP over the non-cover rows
+    (``cuts._alternative_lp``, zero cost).  It is infeasible exactly when
+    those rows admit a common strict solution, and then the kernel returns a
+    Farkas ray r = (u, t) over its d + 1 equality rows [A^T; 1^T] y =
+    e_{d+1}: r.b > 0, and r.(a_j, 1) <= 0 for every column y_j, since none
+    of them could enter to restore feasibility.  As b = e_{d+1}, r.b = t > 0,
+    so <a_j, -u> >= t > 0 for every non-cover row: the direction is -u.
     """
 
     non_cover = [j for j in range(sys.n_rows) if j not in cover]
@@ -280,10 +279,11 @@ def complement_direction(sys: InfeasibleSystem, cover,
         e1 = np.zeros(sys.dim)
         e1[0] = 1.0
         return e1
-    sol = solve_lp(_phase1_lp(sys, non_cover), counter=counter)
-    if sol.status is not LpStatus.OPTIMAL or sol.objective_value > feas_tol:
+    sol = solve_lp(_alternative_lp(sys, non_cover), feas_tol,
+                   counter=counter)
+    if sol.status is not LpStatus.INFEASIBLE:
         return None
-    x = sol.primal[:sys.dim]
+    x = -sol.duals[:sys.dim]
     norm = float(np.linalg.norm(x))
     return x / norm if norm > 0 else None
 
@@ -293,7 +293,8 @@ def rounding_heuristic(lp: LpSolution, node: Node, mip: MipModel,
                        feas_tol: float = 1e-9,
                        counter: LpCounter | None = None):
     """Round binaries at 0.5, keep the result only if it beats the incumbent
-    and one phase-1 solve confirms the remaining rows are jointly satisfiable.
+    and ``complement_direction`` confirms the remaining rows are jointly
+    satisfiable.
 
     Returns (cover, weight, direction) or None.
     """
@@ -481,10 +482,9 @@ class BranchCutEngine:
                     and obj - prev_obj < cfg.cut_improve):
                 break
 
-            fresh = [c for c in generate_cuts(
-                mip.sys, s, node.fixed1, node.fixed0, cfg.knapsack_on(),
-                cfg.feas_tol, self.counter)
-                if c.members not in seen]
+            fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
+                                              cfg.feas_tol, self.counter)
+                     if c.members not in seen]
             if not fresh:
                 break
             for cut in fresh:
@@ -626,7 +626,7 @@ class BranchCutEngine:
                     out.eps_value > cfg.eps_pos:
                 # Guard against a numerically spurious margin: accept the
                 # witness only if its complement really is satisfiable by
-                # the independent phase-1 probe.
+                # the independent alternative-LP probe.
                 check = complement_direction(self.mip.sys, out.cover,
                                              cfg.feas_tol, self.counter)
                 if check is not None:

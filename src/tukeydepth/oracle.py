@@ -7,7 +7,7 @@ minimum is attained at (or tiltable to) a direction orthogonal to some d-1
 rows, so enumerating those candidate normals is exact for inputs in general
 position.  The enumerators ``oracle_depth_2d`` and ``oracle_depth_general``
 involve no linear programming, which is the point.  ``is_depth_zero`` is
-the exception: it answers with one phase-1 LP through ``solve_lp``.
+the exception: it answers with one alternative LP through ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .elastic import _phase1_lp
+from .cuts import _alternative_lp
 from .model import InfeasibleSystem
 from .simplex import LpStatus, solve_lp
 
@@ -139,8 +139,9 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
 def is_depth_zero(sys: InfeasibleSystem, feas_tol: float = 1e-9) -> bool:
     """True exactly when some direction strictly separates every data point.
 
-    One phase-1 solve of min x0 over <a_j, x> + x0 >= 1 with x unrestricted
-    (``elastic._phase1_lp``).  Points equal to the query make strict
+    One solve of the alternative LP over every row (``cuts._alternative_lp``):
+    by Gordan's theorem it is infeasible exactly when the strict system
+    <a_j, x> > 0 has a solution.  Points equal to the query make strict
     separation impossible regardless of direction.
     """
 
@@ -148,7 +149,5 @@ def is_depth_zero(sys: InfeasibleSystem, feas_tol: float = 1e-9) -> bool:
         return False
     if sys.n_rows == 0:
         return True
-    sol = solve_lp(_phase1_lp(sys, list(range(sys.n_rows))))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"feasibility probe ended {sol.status}")
-    return sol.objective_value <= feas_tol
+    sol = solve_lp(_alternative_lp(sys, list(range(sys.n_rows))), feas_tol)
+    return sol.status is LpStatus.INFEASIBLE

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tukeydepth.binsearch import solve_depth_binary
-from tukeydepth.cuts import bis_cut, generate_cuts, pseudo_knapsack_select
+from tukeydepth.cuts import bis_cut, generate_cuts
 from tukeydepth.engine import EngineConfig, solve_depth
 from tukeydepth.model import InfeasibleSystem, PointSet, build_system
 from tukeydepth.oracle import (GeneralPositionError, is_depth_zero,
@@ -219,31 +219,6 @@ def test_criterion_06_weighted_vs_simple():
            f"exactly the distinct-row count of rows")
 
 
-# -- criterion 7: pseudo-knapsack optimality ----------------------------------
-
-
-def test_criterion_07_knapsack_optimality():
-    rng = np.random.default_rng(70_000)
-    checked = 0
-    for _ in range(500):
-        size = int(rng.integers(0, 13))
-        values = rng.uniform(0, 1, size=size)
-        if rng.random() < 0.2 and size:
-            values = np.round(values, 1)
-        got = pseudo_knapsack_select(values)
-        best = 0
-        for r in range(size, 0, -1):
-            if any(math.fsum(values[i] for i in combo) < 1.0
-                   for combo in itertools.combinations(range(size), r)):
-                best = r
-                break
-        assert len(got) == best
-        checked += 1
-    report(7, checked == 500,
-           "greedy selection cardinality equals exhaustive optimum on "
-           "500/500 random value vectors (length <= 12)")
-
-
 # -- criterion 8: basic infeasible subsystem contract -------------------------
 
 
@@ -282,8 +257,7 @@ def test_criterion_08_bis_contract():
                     covers.append(set(combo))
         minimal = [c for c in covers if not any(o < c for o in covers)]
         cuts = [bis_cut(sys_, range(n))]
-        cuts += generate_cuts(sys_, np.full(n, 0.25), set(), set(),
-                              use_knapsack=True)
+        cuts += generate_cuts(sys_, np.full(n, 0.25), set())
         for cut in cuts:
             if cut is None:
                 continue

@@ -5,51 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth.cuts import (Cut, CutPool, bis_cut, generate_cuts,
-                             pseudo_knapsack_select)
-from tukeydepth.model import PointSet, build_system
-from tukeydepth.oracle import oracle_depth_general
+from tukeydepth.cuts import Cut, CutPool, bis_cut, generate_cuts
+from tukeydepth.model import InfeasibleSystem, PointSet, build_system
+from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
 
 from conftest import gaussian_system
-
-
-def test_knapsack_prefix():
-    assert pseudo_knapsack_select([0.05, 0.1, 0.2, 0.3, 0.4]) == {0, 1, 2, 3}
-
-
-def test_knapsack_all_zeros():
-    assert pseudo_knapsack_select(np.zeros(7)) == set(range(7))
-
-
-def test_knapsack_nothing_fits():
-    assert pseudo_knapsack_select([1.0, 1.0]) == set()
-
-
-def test_knapsack_unsorted_input():
-    assert pseudo_knapsack_select([0.9, 0.05, 0.3]) == {1, 2}
-
-
-def test_knapsack_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        pseudo_knapsack_select([-0.2, 0.5])
-
-
-def _exhaustive_best(values):
-    import math
-    for r in range(len(values), 0, -1):
-        for combo in itertools.combinations(range(len(values)), r):
-            if math.fsum(values[i] for i in combo) < 1.0:
-                return r
-    return 0
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.lists(st.floats(0, 1), min_size=0, max_size=10))
-def test_knapsack_matches_exhaustive(values):
-    import math
-    got = pseudo_knapsack_select(values)
-    assert math.fsum(values[i] for i in got) < 1.0 or not got
-    assert len(got) == _exhaustive_best(values)
 
 
 def test_bis_cut_opposed_pair():
@@ -102,23 +62,56 @@ def test_bis_cut_members_tight_and_infeasible():
             assert abs(activity[j] - 1.0) <= tight_tol
 
 
+def _strictly_satisfiable(sys_, members) -> bool:
+    """Depth zero of the member rows by the LP-free oracles."""
+
+    sub = InfeasibleSystem(sys_.dim, sys_.rows[list(members)],
+                           np.ones(len(members), dtype=int))
+    oracle = oracle_depth_2d if sys_.dim == 2 else oracle_depth_general
+    return oracle(sub) == 0
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["zero", "values"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bis_cut_is_irreducible(dim, weighted):
+    """Every cut is an IIS: its members admit no common strict solution, and
+    dropping any one of them leaves a set that does."""
+
+    rng = np.random.default_rng(4400 + dim)
+    checked = 0
+    for seed in range(10):
+        sys_, depth, _ = gaussian_system(4400 + 10 * dim + seed,
+                                         8 + 2 * seed, dim)
+        n = sys_.n_rows
+        values = rng.uniform(0, 1, size=n) if weighted else None
+        for active in (range(n), rng.choice(n, size=n - 3, replace=False)):
+            cut = bis_cut(sys_, active, values=values)
+            if cut is None:
+                assert _strictly_satisfiable(sys_, sorted(active))
+                continue
+            assert set(cut.members) <= set(int(j) for j in active)
+            assert not _strictly_satisfiable(sys_, cut.members)
+            for j in cut.members:
+                rest = [i for i in cut.members if i != j]
+                assert not rest or _strictly_satisfiable(sys_, rest)
+            checked += 1
+    assert checked >= 10
+
+
 def test_generate_cuts_root_fallback(simplex_sys):
     lp_binaries = np.full(3, 1.0 / 3.0)
-    cuts = generate_cuts(simplex_sys, lp_binaries, set(), set(),
-                         use_knapsack=True)
+    cuts = generate_cuts(simplex_sys, lp_binaries, set())
     assert [c.members for c in cuts] == [(0, 1, 2)]
 
 
 def test_generate_cuts_all_ones_not_violated(simplex_sys):
-    cuts = generate_cuts(simplex_sys, np.ones(3), set(), set(),
-                         use_knapsack=True)
+    cuts = generate_cuts(simplex_sys, np.ones(3), set())
     for cut in cuts:
         assert not cut.violated_by(np.ones(3))
 
 
 def test_generate_cuts_cover_fixed_leaves_feasible(simplex_sys):
-    cuts = generate_cuts(simplex_sys, np.zeros(3), {2}, set(),
-                         use_knapsack=False)
+    cuts = generate_cuts(simplex_sys, np.zeros(3), {2})
     assert cuts == []
 
 
@@ -156,7 +149,6 @@ def test_pool_snapshots_extend_earlier_ones(member_lists):
 
 
 def _minimal_covers(sys_):
-    from tukeydepth.model import InfeasibleSystem
     n = sys_.n_rows
     covers = []
     for r in range(n + 1):
@@ -180,8 +172,7 @@ def test_cut_validity_against_minimal_covers():
             continue
         covers = _minimal_covers(sys_)
         produced = [bis_cut(sys_, range(sys_.n_rows))]
-        produced += generate_cuts(sys_, np.full(sys_.n_rows, 0.2),
-                                  set(), set(), use_knapsack=True)
+        produced += generate_cuts(sys_, np.full(sys_.n_rows, 0.2), set())
         for cut in produced:
             if cut is None:
                 continue

@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tukeydepth import cuts, engine
 from tukeydepth.binsearch import solve_depth_binary
@@ -237,9 +239,10 @@ def test_solvers_take_no_primal_pivots(rule):
 
 @pytest.mark.parametrize("feas_tol", [1e-8, EngineConfig().feas_tol])
 def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
-    """``EngineConfig.feas_tol`` reaches the phase-1 tests of cut generation
-    (``bis_cut``) and of the rounding heuristic (``complement_direction``);
-    the default is the value both use on their own."""
+    """``EngineConfig.feas_tol`` reaches the alternative LPs of cut
+    generation (``bis_cut``) and of the rounding heuristic
+    (``complement_direction``); the default is the value both use on their
+    own."""
 
     bis_cut = cuts.bis_cut
     received = {"bis_cut": [], "complement_direction": []}
@@ -270,7 +273,7 @@ def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
     cfg = EngineConfig(feas_tol=feas_tol, rounding_depth=0,
                        rounding_iteration=0)
     search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
-    # The all-rows incumbent lets every rounding reach its phase-1 check.
+    # The all-rows incumbent lets every rounding reach its feasibility check.
     everything = frozenset(range(sys_.n_rows))
     _, weight, exact, _ = search.run_depth(everything, sys_.n_rows)
     assert exact and weight == depth
@@ -329,3 +332,36 @@ def test_complement_direction_signs(simplex_sys):
     assert d is not None
     assert simplex_sys.rows[[0, 1]] @ d == pytest.approx([1, 1], abs=1)
     assert np.all(simplex_sys.rows[[0, 1]] @ d > 0)
+
+
+@st.composite
+def _grid_instance(draw):
+    """Points on the integer grid {-2..2}^d, d in {1, 2}: duplicates,
+    collinear points and antipodal pairs are common, and the query is either
+    a grid point or one of the data points."""
+
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
+    query = draw(st.one_of(st.tuples(*[coord] * dim), st.sampled_from(pts)))
+    return PointSet(dim, np.array(pts, dtype=float),
+                    np.array(query, dtype=float))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_instance())
+def test_degenerate_grids_certified(ps):
+    """Both solvers give the exact depth with a verified Farkas-ray
+    certificate on degenerate inputs.  The reference is the planar sweep,
+    which needs no general position, or for d = 1 the smaller of the counts
+    of points on either closed side of the query."""
+
+    sys_ = build_system(ps)
+    if ps.dim == 1:
+        x, q = ps.points[:, 0], ps.query[0]
+        expected = int(min(np.sum(x <= q), np.sum(x >= q)))
+    else:
+        expected = oracle_depth_2d(sys_)
+    for res in (solve_depth(sys_), solve_depth_binary(sys_)):
+        assert res.depth == expected
+        assert res.exact and res.certificate == "verified"

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from tukeydepth import cuts, engine, simplex
-from tukeydepth.cuts import bis_cut
+from tukeydepth.cuts import bis_cut, generate_cuts
 from tukeydepth.elastic import _elastic_lp
 from tukeydepth.engine import MipForm, MipModel, complement_direction
 from tukeydepth.model import ParamBounds
@@ -396,10 +396,21 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
     bounds = ParamBounds.for_system(sys_)
     cut = bis_cut(sys_, range(n))
     fix1, fix0 = frozenset({0}), frozenset({1, 2})
+    # Binary values of a real node relaxation, with the entries at a bound
+    # nudged just outside [0, 1] as rounding can leave them.
+    node = solve_lp(MipModel(sys_, bounds).relaxation(fix1, fix0, (cut,)))
+    s = node.primal[dim:dim + n]
+    assert np.any(s <= 0.0) and np.any(s >= 1.0)
+    nudged = np.where(s <= 0.0, -1e-12, np.where(s >= 1.0, 1 + 1e-12, s))
+    weighted = generate_cuts(sys_, nudged, fix1)
+    assert len(weighted) == 1
+    assert weighted == generate_cuts(sys_, np.clip(nudged, 0.0, 1.0), fix1)
     models = {
         "elastic": [_elastic_lp(sys_, list(range(1, n)))],
         "bis_cut": _spy_models(monkeypatch, cuts,
                                lambda: bis_cut(sys_, range(n))),
+        "weighted bis_cut": _spy_models(
+            monkeypatch, cuts, lambda: generate_cuts(sys_, nudged, fix1)),
         "complement_direction": _spy_models(
             monkeypatch, engine,
             lambda: complement_direction(sys_, {0, 1})),
@@ -410,6 +421,11 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
     for name, built in models.items():
         assert len(built) == 1, name
         model = built[0]
+        # Exactly, with no tolerance: each column's cost sign asks for a
+        # bound it has, so the slack start is dual feasible for the true cost.
+        c = model.objective
+        assert np.all((c >= 0) | (model.upper < INF)), name
+        assert np.all((c <= 0) | (model.lower > -INF)), name
         sol = solve_lp(model)
         ref = _scipy_reference(model)
         assert sol.primal_pivots == 0, name
