@@ -17,9 +17,8 @@ import numpy as np
 
 from .cuts import CutPool
 from .elastic import chinneck_cover
-from .engine import (BranchCutEngine, BudgetExhausted, DepthResult,
-                     EngineConfig, MipForm, MipModel, SolveStats,
-                     _finalize, _trivial_result)
+from .engine import (BranchCutEngine, DepthResult, EngineConfig, MipForm,
+                     MipModel, SolveStats, _finalize)
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import LpCounter
 
@@ -43,10 +42,11 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     """Bisection driver: lower = 1, upper = heuristic cover weight, probe the
     midpoint guess until the interval closes.
 
-    A probe that ends with margin at most eps_pos (or an infeasible program)
-    proves the depth exceeds the guess; a positive witness pulls the upper
-    bound down and is remembered as the certificate.  At most
-    ceil(log2(initial upper)) + 1 probes run.
+    A probe that finds no witness (no integral node with a margin above
+    ``engine.EPS_POS``) proves the depth exceeds the guess; a witness pulls
+    the upper bound down and is remembered as the certificate.  At most
+    ceil(log2(initial upper)) + 1 probes run.  A spent budget ends the
+    bisection with the depth bracketed in [lower, upper].
     """
 
     cfg = cfg or EngineConfig()
@@ -55,24 +55,13 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     t0 = time.monotonic()
     pool = pool if pool is not None else CutPool()
 
-    if sys.n_rows == 0:
-        stats.wall_time = time.monotonic() - t0
-        return _trivial_result(sys, stats, 0.0)
+    best_cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
+                                          cfg.heuristic_k, cfg.viol_tol,
+                                          counter))
+    upper = sys.weight_of(best_cover)
+    stats.heuristic_weight = upper
 
-    bounds = ParamBounds.for_system(sys, cfg.c, cfg.epsilon)
-    cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
-                                     cfg.heuristic_k, cfg.viol_tol, counter))
-    weight = sys.weight_of(cover)
-    stats.heuristic_weight = weight
-
-    if weight <= 1:
-        result = _finalize(sys, cover, stats, cfg, True, weight, 0.0, counter)
-        result.epsilon = _box_scaled_margin(sys, cover, result.direction, cfg.c)
-        result.stats.wall_time = time.monotonic() - t0
-        return result
-
-    lower, upper = 1, weight
-    best_cover = cover
+    lower = 1
     exact = True
     while lower < upper:
         guess = (lower + upper) // 2
@@ -87,22 +76,20 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
                 exact = False
                 break
             probe_cfg = replace(cfg, time_limit=remaining)
-        mip = MipModel(sys, bounds, MipForm.GUESS, guess=guess)
-        engine = BranchCutEngine(mip, probe_cfg, pool, counter, stats)
-        try:
-            witness = engine.run_guess()
-        except BudgetExhausted:
-            exact = False
+        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
+                       MipForm.GUESS, guess=guess)
+        witness, exact = BranchCutEngine(mip, probe_cfg, pool, counter,
+                                         stats).run_guess()
+        if not exact:
             break
         if witness is None:
             lower = guess + 1
         else:
-            w_cover, _, _ = witness
             upper = guess
-            best_cover = w_cover
+            best_cover = witness
 
     result = _finalize(sys, best_cover, stats, cfg, exact,
-                       lower if not exact else upper, 0.0, counter)
+                       upper if exact else lower, 0.0, counter)
     result.epsilon = _box_scaled_margin(sys, best_cover, result.direction,
                                         cfg.c)
     result.stats.wall_time = time.monotonic() - t0

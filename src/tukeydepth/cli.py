@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,26 +109,8 @@ def read_points(path, query_index: int | None = None,
 
 
 def _config_from_args(args) -> EngineConfig:
-    return EngineConfig(
-        branch_rule=args.rule,
-        node_selection=args.select,
-        strong_k=args.strong_k,
-        cut_improve=args.cut_improve,
-        max_cut_rounds=args.max_cut_rounds,
-        rounding_depth=args.rounding_depth,
-        rounding_iteration=args.rounding_iteration,
-        epsilon=args.epsilon,
-        c=args.c,
-        int_tol=args.int_tol,
-        feas_tol=args.feas_tol,
-        cert_tol=args.cert_tol,
-        viol_tol=args.viol_tol,
-        eps_pos=args.eps_pos,
-        heuristic_variant=args.heuristic_variant,
-        heuristic_k=args.heuristic_k,
-        time_limit=args.time_limit,
-        node_limit=args.node_limit,
-    )
+    return EngineConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(EngineConfig)})
 
 
 def _result_payload(result: DepthResult) -> dict:
@@ -262,28 +245,29 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rule", choices=["greedy", "strong"], default="greedy")
-    p.add_argument("--select", choices=["depth-first", "best-first"],
-                   default="depth-first")
-    p.add_argument("--strong-k", type=int, default=4)
-    p.add_argument("--cut-improve", type=float, default=1e-3)
-    p.add_argument("--max-cut-rounds", type=int, default=20)
-    p.add_argument("--rounding-depth", type=int, default=7,
+    """One flag per ``EngineConfig`` field, named after it; the defaults
+    are the dataclass's own."""
+
+    p.add_argument("--rule", dest="branch_rule", choices=["greedy", "strong"])
+    p.add_argument("--select", dest="node_selection",
+                   choices=["depth-first", "best-first"])
+    p.add_argument("--strong-k", type=int)
+    p.add_argument("--cut-improve", type=float)
+    p.add_argument("--max-cut-rounds", type=int)
+    p.add_argument("--rounding-depth", type=int,
                    help="tree level beyond which the rounding heuristic runs")
-    p.add_argument("--rounding-iteration", type=int, default=5,
+    p.add_argument("--rounding-iteration", type=int,
                    help="cut-loop iteration beyond which it runs")
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--int-tol", type=float, default=1e-9)
-    p.add_argument("--feas-tol", type=float, default=1e-9)
-    p.add_argument("--cert-tol", type=float, default=1e-9)
-    p.add_argument("--viol-tol", type=float, default=1e-7)
-    p.add_argument("--eps-pos", type=float, default=1e-7)
-    p.add_argument("--heuristic-variant", choices=["fast", "full"],
-                   default="fast")
-    p.add_argument("--heuristic-k", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--feas-tol", type=float)
+    p.add_argument("--cert-tol", type=float)
+    p.add_argument("--viol-tol", type=float)
+    p.add_argument("--heuristic-variant", choices=["fast", "full"])
+    p.add_argument("--heuristic-k", type=int)
+    p.add_argument("--time-limit", type=float)
+    p.add_argument("--node-limit", type=int)
+    p.set_defaults(**asdict(EngineConfig()))
     p.add_argument("--json", metavar="PATH",
                    help="write a JSON result ( '-' for stdout )")
     p.add_argument("--allow-unverified", action="store_true",

@@ -111,12 +111,14 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     cover since it alone blocks feasibility of the current system.
 
     ``variant`` is "full" (candidates are all violated rows) or "fast"
-    (top-k candidates by the sensitivity scores).  Terminates in at most
-    n steps because every step deletes at least one row for good.
+    (top-k candidates by the sensitivity scores, k >= 1).  Terminates in at
+    most n steps because every step deletes at least one row for good.
     """
 
     if variant not in ("full", "fast"):
         raise ValueError(f"unknown variant {variant!r}")
+    if k < 1:
+        raise ValueError(f"heuristic k must be at least 1, got {k}")
     cover: set[int] = set()
     sol = solve_elastic(sys, cover, viol_tol, counter)
     while sol.ninf > 0:

@@ -2,10 +2,11 @@
 
 The depth form minimizes the weighted number of deactivated rows in the big-M
 program; the guess form maximizes the strict margin epsilon under a cardinality
-cap and is the building block of the bisection solver.  An initial incumbent
-comes from the greedy elastic heuristic, nodes fix binaries to 0/1, every node
-runs an LP-plus-cuts loop, and hitting-set cuts live in a pool shared by all
-nodes (and, for bisection, across runs).
+cap and is the building block of the bisection solver.  One search loop serves
+both forms.  An initial incumbent comes from the greedy elastic heuristic,
+nodes fix binaries to 0/1, every node runs an LP-plus-cuts loop, and
+hitting-set cuts live in a pool shared by all nodes (and, for bisection,
+across runs).
 """
 
 from __future__ import annotations
@@ -34,13 +35,18 @@ __all__ = [
     "DepthResult",
     "EngineConfig",
     "solve_depth",
-    "bound_and_cut",
     "select_branch_variable",
     "expand",
     "rounding_heuristic",
     "BranchCutEngine",
     "complement_direction",
 ]
+
+# A binary within INT_TOL of 0 or 1 counts as integral, and an LP bound
+# within INT_TOL above an integer rounds down to it.
+INT_TOL = 1e-9
+# A guess-form margin must exceed EPS_POS to count as strictly positive.
+EPS_POS = 1e-7
 
 
 class MipForm(Enum):
@@ -175,7 +181,6 @@ class NodeOutcome:
     objective: float = INF
     lp: LpSolution | None = None
     cover: frozenset | None = None
-    eps_value: float | None = None
     branch_var: int | None = None
     iterations: int = 0
     new_cut_count: int = 0
@@ -227,11 +232,9 @@ class EngineConfig:
     max_cut_rounds: int = 20
     epsilon: float = 1e-5
     c: float = 1.0
-    int_tol: float = 1e-9
     feas_tol: float = 1e-9
     cert_tol: float = 1e-9
     viol_tol: float = VIOL_TOL
-    eps_pos: float = 1e-7
     heuristic_variant: str = "fast"
     heuristic_k: int = 1
     rounding_depth: int = 7
@@ -239,15 +242,21 @@ class EngineConfig:
     time_limit: float | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        # ParamBounds rejects these as well, but is only built once a tree
+        # runs, and most solves end at the heuristic.
+        if not (self.c > 0 and self.epsilon > 0):
+            raise ValueError("c and epsilon must be positive")
+
 
 # ---------------------------------------------------------------------------
 # Free-standing operations (also used directly by tests).
 # ---------------------------------------------------------------------------
 
 
-def _int_floor_bound(objective: float, int_tol: float) -> int:
+def _int_floor_bound(objective: float) -> int:
     """Smallest integer the true optimum can still reach from this LP bound."""
-    return int(math.ceil(objective - int_tol))
+    return int(math.ceil(objective - INT_TOL))
 
 
 def _binary_values(mip: MipModel, lp: LpSolution) -> np.ndarray:
@@ -255,8 +264,8 @@ def _binary_values(mip: MipModel, lp: LpSolution) -> np.ndarray:
     return lp.primal[d:d + mip.n_binaries]
 
 
-def _is_integral(s: np.ndarray, int_tol: float) -> bool:
-    return bool(np.all(np.minimum(s, 1.0 - s) <= int_tol))
+def _is_integral(s: np.ndarray) -> bool:
+    return bool(np.all(np.minimum(s, 1.0 - s) <= INT_TOL))
 
 
 def complement_direction(sys: InfeasibleSystem, cover,
@@ -327,10 +336,9 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
     """
 
     s = _binary_values(mip, lp)
-    int_tol = cfg.int_tol
     fractional = [j for j in range(mip.n_binaries)
                   if j not in node.fixed1 and j not in node.fixed0
-                  and int_tol < s[j] < 1.0 - int_tol]
+                  and INT_TOL < s[j] < 1.0 - INT_TOL]
     if not fractional:
         raise ValueError("integral node")
     if len(fractional) == 1:
@@ -406,8 +414,9 @@ class _Budget:
 
 class BranchCutEngine:
     """Coordinator owning the cut pool handle, the LP counter, the search
-    stats and the budget; the drivers pop one node at a time, evaluate it
-    and apply its outcome before the next pop."""
+    stats and the budget.  One search loop serves both program forms: it
+    pops one node at a time, evaluates it and applies its outcome before
+    the next pop; ``run_depth`` and ``run_guess`` read its result."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
                  counter: LpCounter | None = None,
@@ -420,6 +429,15 @@ class BranchCutEngine:
         self.budget = _Budget(cfg)
 
     # -- per-node work ------------------------------------------------------
+
+    def _dominated(self, bound: float, incumbent_weight: float) -> bool:
+        """Whether a relaxation value proves its subtree useless: in the
+        depth form its integer round-up reaches the incumbent weight; in the
+        guess form the margin it caps is not above EPS_POS."""
+
+        if self.mip.form is MipForm.DEPTH:
+            return _int_floor_bound(bound) >= incumbent_weight
+        return -bound <= EPS_POS
 
     def bound_and_cut(self, node: Node, incumbent_weight: float) -> NodeOutcome:
         """LP-and-cut loop for one node.
@@ -436,7 +454,7 @@ class BranchCutEngine:
         mip = self.mip
         active = tuple(self.pool.snapshot())
         seen = {c.members for c in active}
-        outcome_rounding = None
+        rounding = None
         new_cut_count = 0
 
         lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
@@ -444,37 +462,21 @@ class BranchCutEngine:
                       start=node.basis_status)
         iteration = 0
         prev_obj = None
+        kind = OutcomeKind.FRACTIONAL
         while True:
             if lp.status is LpStatus.INFEASIBLE:
-                return NodeOutcome(OutcomeKind.INFEASIBLE, INF, lp,
-                                   iterations=iteration,
-                                   new_cut_count=new_cut_count,
-                                   rounding=outcome_rounding)
+                kind = OutcomeKind.INFEASIBLE
+                break
             if lp.status is not LpStatus.OPTIMAL:
                 raise RuntimeError(f"node relaxation ended {lp.status}")
             obj = lp.objective_value
-
-            if mip.form is MipForm.DEPTH:
-                if _int_floor_bound(obj, cfg.int_tol) >= incumbent_weight:
-                    return NodeOutcome(OutcomeKind.PRUNED_BY_BOUND, obj, lp,
-                                       iterations=iteration,
-                                       new_cut_count=new_cut_count,
-                                       rounding=outcome_rounding)
-            else:
-                if -obj <= cfg.eps_pos:
-                    return NodeOutcome(OutcomeKind.PRUNED_BY_BOUND, obj, lp,
-                                       iterations=iteration,
-                                       new_cut_count=new_cut_count,
-                                       rounding=outcome_rounding)
-
+            if self._dominated(obj, incumbent_weight):
+                kind = OutcomeKind.PRUNED_BY_BOUND
+                break
             s = _binary_values(mip, lp)
-            if _is_integral(s, cfg.int_tol):
-                cover = frozenset(int(j) for j in np.where(s > 0.5)[0])
-                eps = float(lp.primal[-1]) if mip.has_eps_var else None
-                return NodeOutcome(OutcomeKind.FATHOMED, obj, lp, cover, eps,
-                                   iterations=iteration,
-                                   new_cut_count=new_cut_count,
-                                   rounding=outcome_rounding)
+            if _is_integral(s):
+                kind = OutcomeKind.FATHOMED
+                break
 
             if iteration >= cfg.max_cut_rounds or self.budget.time_up():
                 break
@@ -505,19 +507,23 @@ class BranchCutEngine:
                     and lp.status is LpStatus.OPTIMAL):
                 cand = rounding_heuristic(lp, node, mip, incumbent_weight,
                                           cfg.feas_tol, self.counter)
-                if cand is not None and (outcome_rounding is None
-                                         or cand[1] < outcome_rounding[1]):
-                    outcome_rounding = cand
+                if cand is not None and (rounding is None
+                                         or cand[1] < rounding[1]):
+                    rounding = cand
 
-        out = NodeOutcome(OutcomeKind.FRACTIONAL, lp.objective_value, lp,
-                          iterations=iteration, new_cut_count=new_cut_count,
-                          rounding=outcome_rounding,
-                          budget_hit=self.budget.time_up())
-        if not out.budget_hit:
-            out.rc_fix0, out.rc_fix1 = self._reduced_cost_fixings(
-                node, lp, incumbent_weight)
-            out.branch_var = select_branch_variable(
-                node, self.mip, lp, cfg, active, counter=self.counter)
+        objective = (INF if kind is OutcomeKind.INFEASIBLE
+                     else lp.objective_value)
+        out = NodeOutcome(kind, objective, lp, iterations=iteration,
+                          new_cut_count=new_cut_count, rounding=rounding)
+        if kind is OutcomeKind.FATHOMED:
+            out.cover = frozenset(int(j) for j in np.where(s > 0.5)[0])
+        elif kind is OutcomeKind.FRACTIONAL:
+            out.budget_hit = self.budget.time_up()
+            if not out.budget_hit:
+                out.rc_fix0, out.rc_fix1 = self._reduced_cost_fixings(
+                    node, lp, incumbent_weight)
+                out.branch_var = select_branch_variable(
+                    node, mip, lp, cfg, active, counter=self.counter)
         return out
 
     def _reduced_cost_fixings(self, node: Node, lp: LpSolution,
@@ -526,69 +532,67 @@ class BranchCutEngine:
 
         Flipping a nonbasic binary raises the objective by at least its
         reduced cost (the dual-feasible basis stays dual feasible after the
-        bound change and dual iterations only push the objective up).  In
-        the depth form the flip is useless once that reaches the incumbent;
-        in the guess form, once the implied margin bound drops under the
-        positivity threshold.  Both stay valid as the incumbent improves.
+        bound change and dual iterations only push the objective up).  The
+        flip is useless once that raised bound is ``_dominated``, which
+        stays true as the incumbent improves.
         """
 
-        cfg = self.cfg
-        mip = self.mip
-        d, n = mip.dim, mip.n_binaries
-        depth_form = mip.form is MipForm.DEPTH
-        if depth_form and not math.isfinite(incumbent_weight):
-            return frozenset(), frozenset()
+        d, n = self.mip.dim, self.mip.n_binaries
         s = lp.primal[d:d + n]
         rc = lp.reduced_costs[d:d + n]
         z = lp.objective_value
         fix0, fix1 = set(), set()
-
-        def flip_is_useless(child_bound: float) -> bool:
-            if depth_form:
-                return _int_floor_bound(child_bound,
-                                        cfg.int_tol) >= incumbent_weight
-            return -child_bound <= cfg.eps_pos
-
         for j in range(n):
             if j in node.fixed1 or j in node.fixed0:
                 continue
-            if s[j] <= cfg.int_tol and rc[j] > 0:
-                if flip_is_useless(z + rc[j]):
+            if s[j] <= INT_TOL and rc[j] > 0:
+                if self._dominated(z + rc[j], incumbent_weight):
                     fix0.add(j)
-            elif s[j] >= 1.0 - cfg.int_tol and rc[j] < 0:
-                if flip_is_useless(z - rc[j]):
+            elif s[j] >= 1.0 - INT_TOL and rc[j] < 0:
+                if self._dominated(z - rc[j], incumbent_weight):
                     fix1.add(j)
         return frozenset(fix0), frozenset(fix1)
 
     # -- tree drivers ---------------------------------------------------------
 
-    def run_depth(self, incumbent_cover: frozenset, incumbent_weight: int):
-        """Exhaust the tree (or a budget), returning the best cover found,
-        whether the run proved optimality, and the final lower bound."""
+    def _search(self, cover, weight: float):
+        """Pop, evaluate and apply nodes until the tree is exhausted, the
+        guess form finds its witness, or a budget is spent.
 
-        cfg = self.cfg
-        store = _NodeStore(cfg.node_selection)
+        The depth form keeps the lightest cover, starting from (cover,
+        weight).  The guess form stops at its first integral node whose
+        complement ``complement_direction`` confirms; the prune test already
+        put that node's margin above EPS_POS, and the check guards against a
+        numerically spurious one.  Returns (cover, weight, exact, store),
+        with exact False when a budget ended the search and the open nodes
+        left in the store.
+        """
+
+        store = _NodeStore(self.cfg.node_selection)
         store.push(Node())
         exact = True
-
         while len(store):
             if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
                 exact = False
                 break
-            node = store.pop(incumbent_weight, cfg.int_tol)
+            node = store.pop(weight)
             if node is None:
                 break
-            out = self.bound_and_cut(node, incumbent_weight)
+            out = self.bound_and_cut(node, weight)
             self.stats.nodes += 1
             self.stats.cuts += out.new_cut_count
-            if out.rounding is not None and out.rounding[1] < incumbent_weight:
-                incumbent_cover = out.rounding[0]
-                incumbent_weight = out.rounding[1]
+            if out.rounding is not None and out.rounding[1] < weight:
+                cover, weight = out.rounding[0], out.rounding[1]
             if out.kind is OutcomeKind.FATHOMED:
-                weight = self.mip.sys.weight_of(out.cover)
-                if weight < incumbent_weight:
-                    incumbent_cover = out.cover
-                    incumbent_weight = weight
+                found = self.mip.sys.weight_of(out.cover)
+                if self.mip.form is MipForm.DEPTH:
+                    if found < weight:
+                        cover, weight = out.cover, found
+                elif complement_direction(self.mip.sys, out.cover,
+                                          self.cfg.feas_tol,
+                                          self.counter) is not None:
+                    cover, weight = out.cover, found
+                    break
             elif out.kind is OutcomeKind.FRACTIONAL:
                 if out.budget_hit:
                     exact = False
@@ -596,71 +600,51 @@ class BranchCutEngine:
                                     out.objective, node.tree_depth))
                     break
                 store.push_children(node, out)
+        return cover, weight, exact, store
 
-        lower = incumbent_weight
+    def run_depth(self, incumbent_cover: frozenset, incumbent_weight: int):
+        """Exhaust the tree (or a budget), returning the best cover found,
+        whether the run proved optimality, and the final lower bound."""
+
+        cover, weight, exact, store = self._search(incumbent_cover,
+                                                   incumbent_weight)
+        lower = weight
         if not exact:
-            lower = min([lower] + [_int_floor_bound(b, cfg.int_tol)
+            lower = min([lower] + [_int_floor_bound(b)
                                    for b in store.bounds()])
-        return incumbent_cover, incumbent_weight, exact, lower
+        return cover, weight, exact, lower
 
     def run_guess(self):
         """Early-exit search of the guess form.
 
-        Returns (cover, eps, x) the moment an integral solution with eps
-        above the positivity threshold appears, or None when the tree is
-        exhausted without one (the guess is below the depth).
+        Returns (cover, exact).  The cover is the first witness: an integral
+        solution whose margin exceeds EPS_POS and whose complement is
+        confirmed satisfiable.  It is None when the tree is exhausted
+        without one (the guess is below the depth), and also when a budget
+        runs out first, which alone makes exact False.
         """
 
-        cfg = self.cfg
-        store = _NodeStore(cfg.node_selection)
-        store.push(Node())
-        while len(store):
-            if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
-                raise BudgetExhausted()
-            node = store.pop(INF, cfg.int_tol)
-            out = self.bound_and_cut(node, INF)
-            self.stats.nodes += 1
-            self.stats.cuts += out.new_cut_count
-            if out.kind is OutcomeKind.FATHOMED and \
-                    out.eps_value is not None and \
-                    out.eps_value > cfg.eps_pos:
-                # Guard against a numerically spurious margin: accept the
-                # witness only if its complement really is satisfiable by
-                # the independent alternative-LP probe.
-                check = complement_direction(self.mip.sys, out.cover,
-                                             cfg.feas_tol, self.counter)
-                if check is not None:
-                    x = out.lp.primal[:self.mip.dim].copy()
-                    return out.cover, out.eps_value, x
-            if out.kind is OutcomeKind.FRACTIONAL:
-                if out.budget_hit:
-                    raise BudgetExhausted()
-                store.push_children(node, out)
-        return None
-
-
-class BudgetExhausted(RuntimeError):
-    def __init__(self):
-        super().__init__("search budget exhausted")
+        cover, _, exact, _ = self._search(None, INF)
+        return cover, exact
 
 
 class _NodeStore:
-    """Stack for depth-first (dive child first), min-heap for best-first."""
+    """Open nodes in one heap.  Depth-first keys each node (-seq, seq), so
+    the newest pops first and the search dives; best-first keys it
+    (lower_bound, seq), so the lowest bound pops first and the oldest node
+    wins among equal bounds."""
 
     def __init__(self, strategy: str):
         if strategy not in ("depth-first", "best-first"):
             raise ValueError(f"unknown node selection {strategy!r}")
-        self.strategy = strategy
-        self._stack: list[Node] = []
+        self.best_first = strategy == "best-first"
         self._heap: list[tuple[float, int, Node]] = []
         self._seq = 0
 
     def push(self, node: Node) -> None:
-        if self.strategy == "depth-first":
-            self._stack.append(node)
-        else:
-            heapq.heappush(self._heap, (node.lower_bound, self._seq, node))
-            self._seq += 1
+        key = node.lower_bound if self.best_first else -self._seq
+        heapq.heappush(self._heap, (key, self._seq, node))
+        self._seq += 1
 
     def push_children(self, node: Node, out: NodeOutcome) -> None:
         """Apply the node's reduced-cost fixings and push both children, the
@@ -679,53 +663,31 @@ class _NodeStore:
         self.push(child0)
         self.push(child1)
 
-    def pop(self, incumbent_weight: float, int_tol: float) -> Node | None:
-        """The next node, discarding any already dominated by the incumbent
-        before spending an LP on it; None once the store runs dry."""
+    def pop(self, incumbent_weight: float) -> Node | None:
+        """The next node, discarding any already dominated by a finite
+        depth-form incumbent before spending an LP on it; None once the
+        store runs dry.  The guess form passes INF: under its own test the
+        root's lower bound of 0.0 would read as a zero margin."""
 
-        while len(self):
-            if self.strategy == "depth-first":
-                node = self._stack.pop()
-            else:
-                node = heapq.heappop(self._heap)[2]
+        while self._heap:
+            node = heapq.heappop(self._heap)[2]
             if (math.isfinite(incumbent_weight)
-                    and _int_floor_bound(node.lower_bound, int_tol)
+                    and _int_floor_bound(node.lower_bound)
                     >= incumbent_weight):
                 continue
             return node
         return None
 
     def bounds(self):
-        if self.strategy == "depth-first":
-            return [n.lower_bound for n in self._stack]
-        return [b for b, _, _ in self._heap]
+        return [node.lower_bound for _, _, node in self._heap]
 
     def __len__(self) -> int:
-        return len(self._stack) + len(self._heap)
-
-
-def bound_and_cut(node: Node, mip: MipModel, pool: CutPool,
-                  cfg: EngineConfig | None = None,
-                  incumbent_weight: float = INF) -> NodeOutcome:
-    """One-shot node evaluation against a pool (convenience wrapper)."""
-
-    cfg = cfg or EngineConfig()
-    return BranchCutEngine(mip, cfg, pool).bound_and_cut(node, incumbent_weight)
+        return len(self._heap)
 
 
 # ---------------------------------------------------------------------------
 # Top-level solve.
 # ---------------------------------------------------------------------------
-
-
-def _trivial_result(sys: InfeasibleSystem, stats: SolveStats,
-                    epsilon: float) -> DepthResult:
-    e1 = np.zeros(sys.dim)
-    e1[0] = 1.0
-    return DepthResult(depth=sys.zero_offset, cover=(), direction=e1,
-                       stats=stats, exact=True, lower_bound=sys.zero_offset,
-                       certificate="verified", epsilon=epsilon,
-                       zero_offset=sys.zero_offset)
 
 
 def _finalize(sys: InfeasibleSystem, cover, stats: SolveStats,
@@ -767,28 +729,19 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     counter = LpCounter()
     stats = SolveStats()
     t0 = time.monotonic()
-    pool = pool if pool is not None else CutPool()
 
-    if sys.n_rows == 0:
-        stats.wall_time = time.monotonic() - t0
-        return _trivial_result(sys, stats, cfg.epsilon)
-
-    bounds = ParamBounds.for_system(sys, cfg.c, cfg.epsilon)
     cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
                                      cfg.heuristic_k, cfg.viol_tol, counter))
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight
-
-    if weight <= 1:
-        result = _finalize(sys, cover, stats, cfg, True, weight,
-                           cfg.epsilon, counter)
-        result.stats.wall_time = time.monotonic() - t0
-        return result
-
-    mip = MipModel(sys, bounds, MipForm.DEPTH)
-    engine = BranchCutEngine(mip, cfg, pool, counter, stats)
-    best_cover, best_weight, exact, lower = engine.run_depth(cover, weight)
-    result = _finalize(sys, best_cover, stats, cfg, exact, lower,
-                       cfg.epsilon, counter)
+    exact, lower = True, weight
+    if weight > 1:
+        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
+                       MipForm.DEPTH)
+        engine = BranchCutEngine(mip, cfg, pool if pool is not None
+                                 else CutPool(), counter, stats)
+        cover, weight, exact, lower = engine.run_depth(cover, weight)
+    result = _finalize(sys, cover, stats, cfg, exact, lower, cfg.epsilon,
+                       counter)
     result.stats.wall_time = time.monotonic() - t0
     return result

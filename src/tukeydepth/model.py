@@ -99,22 +99,16 @@ class ParamBounds:
 
     ``c`` bounds each coordinate of the direction variable in the MIP box
     [-c, c]; ``bigM`` deactivates a row when its binary is 1; ``epsilon`` is
-    the strict-inequality surrogate on the right-hand side.  ``m_box`` and
-    ``theta_sin`` record the integer-lattice bound inputs when the
-    conservative epsilon is used instead of the practical default.
+    the strict-inequality surrogate on the right-hand side.
     """
 
     c: float
     bigM: float
     epsilon: float = 1e-5
-    m_box: float = 1.0
-    theta_sin: float = 0.0
 
     def __post_init__(self):
         if not (self.c > 0 and self.bigM > 0 and self.epsilon > 0):
             raise ValueError("c, bigM and epsilon must be positive")
-        if self.theta_sin < 0:
-            raise ValueError("theta_sin must be nonnegative")
 
     @classmethod
     def for_system(cls, sys: InfeasibleSystem, c: float = 1.0,
@@ -130,13 +124,9 @@ class ParamBounds:
 
         if sys.n_rows == 0:
             raise ValueError("empty system")
-        d = sys.dim
         q_min = float(np.min(np.linalg.norm(sys.rows, axis=1)))
-        h = (2.0 * m_box * math.sqrt(d)) ** (-(d - 1))
-        sin_theta = min(1.0, h / (m_box * math.sqrt(d)))
         return cls(c=c, bigM=compute_bigM(sys, c),
-                   epsilon=lattice_epsilon(m_box, d, c, q_min),
-                   m_box=m_box, theta_sin=sin_theta)
+                   epsilon=lattice_epsilon(m_box, sys.dim, c, q_min))
 
 
 def build_system(ps: PointSet,

@@ -1,11 +1,15 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tukeydepth import cli
 from tukeydepth.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVE, EXIT_USAGE,
                             PointFileError, read_points, run)
+from tukeydepth.engine import EngineConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,3 +214,42 @@ def test_bench_empty_dir(tmp_path, capsys):
     empty.mkdir()
     assert run(["bench", str(empty)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_engine_flags_match_config(triangle_file):
+    """Every ``EngineConfig`` field has a flag on each solving command, the
+    flag defaults are the dataclass's, and --rule/--select reach their
+    fields."""
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    names = {f.name for f in fields(EngineConfig)}
+    for command in ("depth", "binsearch", "bench"):
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if a.option_strings}
+        assert names <= dests, command
+    args = parser.parse_args(["depth", str(triangle_file)])
+    assert cli._config_from_args(args) == EngineConfig()
+    args = parser.parse_args(["depth", str(triangle_file), "--rule", "strong",
+                              "--select", "best-first"])
+    assert cli._config_from_args(args) == EngineConfig(
+        branch_rule="strong", node_selection="best-first")
+
+
+@pytest.mark.parametrize("instance, argv, message", [
+    ("square_file", ["depth", "--heuristic-k", "0"], "at least 1"),
+    ("square_file", ["heuristic", "--heuristic-k", "0"], "at least 1"),
+    ("triangle_file", ["depth", "--c", "0"], "must be positive"),
+    ("triangle_file", ["binsearch", "--epsilon", "0"], "must be positive"),
+])
+def test_bad_engine_value_is_usage_error(instance, argv, message, request,
+                                         capsys):
+    """Out-of-range values exit 1 with an error line, also where the
+    heuristic alone settles the depth (the triangle's depth is 1)."""
+
+    path = str(request.getfixturevalue(instance))
+    rc = run([argv[0], path, "--query-coords", "0", "0", *argv[1:]])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -95,3 +95,9 @@ def test_cover_weighted_duplicates():
     cover = chinneck_cover(sys_, "fast", 1)
     assert sys_.weight_of(cover) == 3
     assert oracle_depth_2d(sys_) == 3
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_chinneck_rejects_k_below_one(square_sys, k):
+    with pytest.raises(ValueError, match="at least 1"):
+        chinneck_cover(square_sys, "fast", k)

@@ -10,13 +10,13 @@ from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import solve_elastic
 from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
-                               MipModel, Node, OutcomeKind, bound_and_cut,
+                               MipModel, Node, OutcomeKind, _NodeStore,
                                complement_direction, expand,
                                rounding_heuristic, select_branch_variable,
                                solve_depth)
 from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d
-from tukeydepth.simplex import LpStatus, solve_lp
+from tukeydepth.simplex import INF, LpStatus, solve_lp
 
 from conftest import gaussian_system
 
@@ -63,14 +63,6 @@ def test_bound_and_cut_fathoms_full_cover(simplex_sys):
     assert out.kind is OutcomeKind.FATHOMED
     assert out.cover == frozenset({2})
     assert out.objective == pytest.approx(1.0, abs=1e-7)
-
-
-def test_bound_and_cut_wrapper(simplex_sys):
-    pool = CutPool()
-    out = bound_and_cut(Node(fixed1=frozenset({2})), mip_for(simplex_sys),
-                        pool, EngineConfig(), incumbent_weight=9)
-    assert out.kind is OutcomeKind.FATHOMED
-    assert out.cover == frozenset({2})
 
 
 def test_bound_and_cut_prunes_by_bound(simplex_sys):
@@ -309,6 +301,56 @@ def test_time_budget_zero_stops_immediately():
     assert res.stats.heuristic_weight is not None
     if res.depth != res.lower_bound:
         assert not res.exact
+
+
+@pytest.mark.parametrize("budget", [{"node_limit": 1}, {"node_limit": 3},
+                                    {"node_limit": 10}, {"time_limit": 0.0}],
+                         ids=["nodes1", "nodes3", "nodes10", "time0"])
+def test_spent_budget_brackets_depth(budget):
+    """A spent node or time budget ends both solvers, bisection included,
+    with the oracle depth bracketed by [lower_bound, depth], a verified
+    certificate for the cover returned, and exact only when that cover is
+    optimal."""
+
+    cfg = EngineConfig(**budget)
+    inexact = {solve_depth: 0, solve_depth_binary: 0}
+    for seed in range(6700, 6712):
+        sys_, depth, _ = gaussian_system(seed, 24, 2 + seed % 2)
+        for solve in inexact:
+            res = solve(sys_, cfg)
+            assert res.depth >= depth >= res.lower_bound
+            assert res.certificate == "verified"
+            if res.exact:
+                assert res.depth == depth == res.lower_bound
+            else:
+                inexact[solve] += 1
+    assert all(inexact.values()), inexact
+
+
+def test_node_store_order_and_dominance():
+    """Depth-first pops the newest node; best-first the lowest bound, the
+    oldest first among equal bounds.  A finite incumbent discards nodes
+    whose bound rounds up to it; INF discards none."""
+
+    bounds = (2.0, 1.0, 3.0, 1.0)
+
+    def popped(strategy, incumbent):
+        store = _NodeStore(strategy)
+        for label, bound in enumerate(bounds):
+            store.push(Node(lower_bound=bound, tree_depth=label))
+        assert len(store) == len(bounds)
+        order = []
+        while (node := store.pop(incumbent)) is not None:
+            order.append(node.tree_depth)
+        assert len(store) == 0
+        return order
+
+    assert popped("depth-first", INF) == [3, 2, 1, 0]
+    assert popped("best-first", INF) == [1, 3, 0, 2]
+    assert popped("depth-first", 2) == [3, 1]
+    assert popped("best-first", 2) == [1, 3]
+    with pytest.raises(ValueError):
+        _NodeStore("breadth-first")
 
 
 def test_zero_row_only_system():

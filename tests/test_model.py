@@ -185,11 +185,8 @@ def test_param_bounds_validation():
 def test_param_bounds_lattice_constructor():
     sys_ = build_system(PointSet(2, [[3, 0], [0, 1], [-2, -2]], [0, 0]))
     b = ParamBounds.with_lattice_epsilon(sys_, m_box=3.0)
-    h = (6 * math.sqrt(2)) ** -1
-    assert b.theta_sin == pytest.approx(h / (3 * math.sqrt(2)), rel=1e-12)
     assert b.epsilon == pytest.approx(
         lattice_epsilon(3.0, 2, 1.0, 1.0), rel=1e-12)
-    assert b.m_box == 3.0
     assert b.bigM == pytest.approx(compute_bigM(sys_, 1.0), rel=1e-12)
 
 
