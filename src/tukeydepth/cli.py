@@ -285,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tukeydepth",
                      description="Exact halfspace depth via branch and cut.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = EngineConfig()
 
     p_depth = sub.add_parser("depth", help="branch-and-cut depth")
     _add_instance_args(p_depth)
@@ -296,9 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_heur = sub.add_parser("heuristic", help="greedy cover upper bound")
     _add_instance_args(p_heur)
-    p_heur.add_argument("--heuristic-variant", choices=["fast", "full"],
-                        default="fast")
-    p_heur.add_argument("--heuristic-k", type=int, default=1)
+    p_heur.add_argument("--heuristic-variant", choices=["fast", "full"])
+    p_heur.add_argument("--heuristic-k", type=int)
+    p_heur.set_defaults(heuristic_variant=defaults.heuristic_variant,
+                        heuristic_k=defaults.heuristic_k)
     p_heur.add_argument("--json", metavar="PATH")
 
     p_oracle = sub.add_parser("oracle", help="combinatorial verification depth")
@@ -312,8 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("out", help="target .mps path")
     p_exp.add_argument("--form", choices=["depth", "guess"], default="depth")
     p_exp.add_argument("--guess", type=int, default=1)
-    p_exp.add_argument("--epsilon", type=float, default=1e-5)
-    p_exp.add_argument("--c", type=float, default=1.0)
+    p_exp.add_argument("--epsilon", type=float)
+    p_exp.add_argument("--c", type=float)
+    p_exp.set_defaults(epsilon=defaults.epsilon, c=defaults.c)
 
     p_bench = sub.add_parser("bench", help="solve a directory of instances")
     p_bench.add_argument("dir")

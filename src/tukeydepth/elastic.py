@@ -1,11 +1,21 @@
 """Elastic programs over the shifted row system and the greedy
 minimum-removal-cover heuristic built on their sensitivity information.
 
-Each active row <a_j, x> >= 1 gains a nonnegative elastic variable e_j and
-the LP minimizes the weighted sum of the e_j.  The optimal objective (SINF),
-the count of nonzero e_j (NINF), the per-row violations e_j and the per-row
-duals (constraint sensitivities) drive both the incumbent heuristic and the
-greedy branching score.
+The elastic program gives each active row <a_j, x> >= 1 a nonnegative
+elastic variable e_j and minimizes sum_j w_j e_j over x free.  It is solved
+in its LP dual form
+
+    max 1.y  over  A^T y = 0,  0 <= y_j <= w_j,
+
+with one column per row of the system and only d equality rows; removing
+row j is the bound y_j <= 0.  Every basis of the dual form stays dual
+feasible under such bound changes, so an elastic LP that removes more rows
+than an earlier one starts from that one's final basis.  From the optimum,
+x is the negated duals of the d equality rows, e_j = max(0, 1 - <a_j, x>)
+on the active rows, the row sensitivities (the row form's duals) are y, and
+the optimal objective (SINF) is 1.y.  SINF, the count of e_j above the
+violation tolerance (NINF), the e_j and the sensitivities drive both the
+incumbent heuristic and the greedy branching score.
 """
 
 from __future__ import annotations
@@ -24,10 +34,12 @@ VIOL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class ElasticSolution:
-    """Result of one elastic solve.
+    """Result of one elastic solve over the rows outside ``removed``.
 
     ``violations`` and ``sensitivities`` are full-length row vectors with
     zeros in removed positions, so indices line up with the system.
+    ``basis_status`` is the final basis of the dual-form LP (None when no
+    row is active), the start of a later solve that removes more rows.
     """
 
     sinf: float
@@ -35,53 +47,56 @@ class ElasticSolution:
     violations: np.ndarray
     sensitivities: np.ndarray
     x: np.ndarray
+    removed: frozenset
+    basis_status: np.ndarray | None = None
 
     @property
     def feasible(self) -> bool:
         return self.ninf == 0
 
 
-def _elastic_lp(sys: InfeasibleSystem, active: list[int]) -> LpModel:
-    d = sys.dim
-    k = len(active)
-    obj = np.concatenate([np.zeros(d), sys.weights[active].astype(float)])
-    A = np.zeros((k, d + k))
-    A[:, :d] = sys.rows[active]
-    A[np.arange(k), d + np.arange(k)] = 1.0
-    lower = np.concatenate([np.full(d, -INF), np.zeros(k)])
-    upper = np.full(d + k, INF)
-    return LpModel(obj, A, [Sense.GE] * k, np.ones(k), lower, upper)
+def _elastic_model(sys: InfeasibleSystem, removed) -> LpModel:
+    """min -1.y over A^T y = 0, 0 <= y_j <= w_j, with y_j <= 0 for a
+    removed row: one column per row of the system, d equality rows."""
+
+    upper = sys.weights.astype(float)
+    upper[list(removed)] = 0.0
+    return LpModel(np.full(sys.n_rows, -1.0), sys.rows.T,
+                   [Sense.EQ] * sys.dim, np.zeros(sys.dim),
+                   np.zeros(sys.n_rows), upper)
 
 
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                   viol_tol: float = VIOL_TOL,
-                  counter: LpCounter | None = None) -> ElasticSolution:
+                  counter: LpCounter | None = None,
+                  start: np.ndarray | None = None) -> ElasticSolution:
     """Minimize sum(w_j * e_j) over <a_j, x> + e_j >= 1 for the rows not in
-    ``removed``; x is unrestricted.
+    ``removed``; x is unrestricted.  Solved in the dual form (see the
+    module docstring), from ``start`` when given: the ``basis_status`` of
+    an earlier solve whose removed rows are a subset of these.
 
     The minimum exists (the objective is polyhedral and bounded below by
     zero), and it is zero exactly when the remaining strict system admits a
     common solution, so no artificial direction box is needed.
     """
 
-    active = [j for j in range(sys.n_rows) if j not in removed]
-    violations = np.zeros(sys.n_rows)
-    sensitivities = np.zeros(sys.n_rows)
-    if not active:
-        return ElasticSolution(0.0, 0, violations, sensitivities,
-                               np.zeros(sys.dim))
+    removed = frozenset(removed)
+    n = sys.n_rows
+    if len(removed) >= n:
+        return ElasticSolution(0.0, 0, np.zeros(n), np.zeros(n),
+                               np.zeros(sys.dim), removed)
 
-    sol = solve_lp(_elastic_lp(sys, active), counter=counter)
-    x = sol.primal[:sys.dim]
-    e = sol.primal[sys.dim:]
-    for pos, j in enumerate(active):
-        violations[j] = e[pos]
-        sensitivities[j] = sol.duals[pos]
+    sol = solve_lp(_elastic_model(sys, removed), counter=counter,
+                   start=start)
+    x = -sol.duals
+    active = np.ones(n, dtype=bool)
+    active[list(removed)] = False
+    violations = np.where(active, np.maximum(0.0, 1.0 - sys.rows @ x), 0.0)
     ninf = int(np.count_nonzero(violations > viol_tol))
-    sinf = float(sol.objective_value)
-    if ninf == 0:
-        sinf = 0.0
-    return ElasticSolution(sinf, ninf, violations, sensitivities, x)
+    sinf = -float(sol.objective_value) if ninf else 0.0
+    sensitivities = np.where(active, sol.primal, 0.0)
+    return ElasticSolution(sinf, ninf, violations, sensitivities, x, removed,
+                           sol.basis_status)
 
 
 def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
@@ -106,9 +121,10 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
 
     Solves the elastic program, tries deleting each candidate row, and
     permanently deletes the one whose removal gives the smallest SINF; that
-    winning trial is the elastic solution of the next step.  Stops when
-    nothing is violated; a single violated row is taken directly into the
-    cover since it alone blocks feasibility of the current system.
+    winning trial is the elastic solution of the next step.  Every trial
+    starts from the basis of the current solution.  Stops when nothing is
+    violated; a single violated row is taken directly into the cover since
+    it alone blocks feasibility of the current system.
 
     ``variant`` is "full" (candidates are all violated rows) or "fast"
     (top-k candidates by the sensitivity scores, k >= 1).  Terminates in at
@@ -137,7 +153,8 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
         best_sinf = INF
         best_resolve: ElasticSolution | None = None
         for j in candidates:
-            trial = solve_elastic(sys, cover | {j}, viol_tol, counter)
+            trial = solve_elastic(sys, cover | {j}, viol_tol, counter,
+                                  start=sol.basis_status)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)

@@ -155,9 +155,10 @@ class Node:
     """One subproblem: binaries pinned to 1 (removed rows) or 0 (kept rows).
 
     ``basis_status`` is the parent's final LP basis, where this node's first
-    LP starts (None at the root).  ``elastic`` is the greedy-branching
-    elastic solution over the rows outside ``fixed1`` once it is known; a
-    child whose ``fixed1`` equals its parent's inherits it.
+    LP starts (None at the root).  ``elastic`` is the latest greedy-branching
+    elastic solution on the path to this node: its own once branching ran
+    here, else its parent's.  Its removed rows are a subset of ``fixed1``,
+    so its basis is a valid start for this node's elastic LP.
     """
 
     fixed1: frozenset = frozenset()
@@ -325,11 +326,13 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
                            counter: LpCounter | None = None) -> int:
     """Pick the row to branch on among fractional binaries.
 
-    greedy: one elastic solve on the rows not yet removed (kept on the node
-    as ``node.elastic``, or taken from there when the parent left it); the
-    fractional row with the largest estimated infeasibility drop (violation
-    x |sensitivity| for violated rows, |sensitivity| alone for satisfied
-    ones) wins, violated rows first.  strong: for the most fractional
+    greedy: one elastic solve on the rows not yet removed, kept on the node
+    as ``node.elastic``.  The inherited solution is reused when it removed
+    the same rows and is the warm start otherwise, since removing a row only
+    bounds its dual-form column to 0 (see ``elastic``).  The fractional row
+    with the largest estimated infeasibility drop (violation x |sensitivity|
+    for violated rows, |sensitivity| alone for satisfied ones) wins,
+    violated rows first.  strong: for the most fractional
     candidates, solve both child relaxations, each warm-started from the
     node LP's basis, and keep the variable whose worse child bound is best.
     All ties go to the lowest row index.
@@ -345,9 +348,11 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         return fractional[0]
 
     if cfg.branch_rule == "greedy":
-        if node.elastic is None:
-            node.elastic = solve_elastic(mip.sys, node.fixed1, cfg.viol_tol,
-                                         counter)
+        parent = node.elastic
+        if parent is None or parent.removed != node.fixed1:
+            node.elastic = solve_elastic(
+                mip.sys, node.fixed1, cfg.viol_tol, counter,
+                start=None if parent is None else parent.basis_status)
         el = node.elastic
         violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
         pool = violated if violated else fractional
@@ -650,7 +655,8 @@ class _NodeStore:
         """Apply the node's reduced-cost fixings and push both children, the
         removed-row child last so that depth-first search dives on it.  Both
         start from the node's final basis: fixings change bounds only, so it
-        stays dual feasible."""
+        stays dual feasible.  Both inherit the node's elastic solution,
+        whose removed rows their ``fixed1`` only extends."""
 
         base = Node(node.fixed1 | out.rc_fix1, node.fixed0 | out.rc_fix0,
                     node.lower_bound, node.tree_depth)
@@ -658,8 +664,7 @@ class _NodeStore:
         for child in (child1, child0):
             child.lower_bound = out.objective
             child.basis_status = out.lp.basis_status
-        if child0.fixed1 == node.fixed1:
-            child0.elastic = node.elastic
+            child.elastic = node.elastic
         self.push(child0)
         self.push(child1)
 

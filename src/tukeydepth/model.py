@@ -154,24 +154,21 @@ def build_system(ps: PointSet,
     kept = kept / norms[:, None]
 
     if fold_duplicates:
-        order: list[bytes] = []
-        folded: dict[bytes, list] = {}
-        for row in kept:
-            key = row.tobytes()
-            if key in folded:
-                folded[key][1] += 1
-            else:
-                folded[key] = [row, 1]
-                order.append(key)
-        rows = [folded[k][0] for k in order]
-        weights = [folded[k][1] for k in order]
+        # Rows compare by their bytes, so 0.0 and -0.0 stay distinct; the
+        # folded rows keep the order of their first occurrence.
+        keys = np.ascontiguousarray(kept).view(
+            np.dtype((np.void, kept.itemsize * ps.dim))).ravel()
+        _, first, counts = np.unique(keys, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        rows = kept[first[order]]
+        weights = counts[order]
     else:
         rows = kept
-        weights = [1] * len(kept)
+        weights = np.ones(len(kept), dtype=np.int64)
 
-    rows_arr = np.array(rows, dtype=float).reshape(len(rows), ps.dim)
-    return InfeasibleSystem(dim=ps.dim, rows=rows_arr,
-                            weights=np.array(weights, dtype=np.int64),
+    return InfeasibleSystem(dim=ps.dim, rows=rows,
+                            weights=weights,
                             zero_offset=zero_offset)
 
 

@@ -14,14 +14,25 @@ detects unboundedness.
 Every LP this package builds is dual feasible at the slack basis, and the
 search engine only passes starts that stay dual feasible: the parent node's
 final basis (a branching or reduced-cost fixing changes bounds only), the
-previous cut round's basis (cuts are appended rows), and the node LP's basis
-for strong-branching children.  So for those LPs the primal finish only
-prices once.  Pricing is by largest violation (dual) and Dantzig (primal)
-with a Bland's-rule fallback after a degenerate-iteration budget; the
-explicit basis inverse is refactorized on a fixed pivot cadence, and ties go
-to the lowest index everywhere, so identical inputs (start included) give
-identical output on a fixed BLAS thread configuration (the thread count can
-change the rounding of the dense products).
+previous cut round's basis (cuts are appended rows), the node LP's basis
+for strong-branching children, and an elastic LP's basis for one that
+removes more rows (a bound change too).  So for those LPs the primal finish
+only prices once.  Pricing is by largest violation (dual) and Dantzig
+(primal) with a Bland's-rule fallback after a degenerate-iteration budget;
+the explicit basis inverse is refactorized on a fixed pivot cadence, and
+ties go to the lowest index everywhere, so identical inputs (start included)
+give identical output on a fixed BLAS thread configuration (the thread count
+can change the rounding of the dense products).
+
+The dual ratio test flips bounds (the long-step or bound-flipping ratio
+test; Maros, Computational Techniques of the Simplex Method, 2003): a boxed
+column whose breakpoint the dual step passes switches to its other bound
+while the leaving row stays violated, instead of ending the step.  A cold
+elastic LP, whose columns all open at their upper bounds, so takes a few
+pivots instead of one per column.  Two rules keep the pass's other
+guarantees: the last eligible column never flips, so infeasibility is still
+declared only when no column is eligible (with the same Farkas ray), and no
+column flips under Bland's rule.
 
 Between pivots the dual pass carries its working state with the basis
 instead of re-deriving it: the basic values with their bounds, and a sign
@@ -126,8 +137,9 @@ class LpSolution:
     """``basis_status`` holds the final status of every column of
     [structural | slack] (``_AT_LOWER``, ``_AT_UPPER``, ``_FREE`` or
     ``_BASIC``), the ``start`` a later solve takes.  ``dual_pivots`` counts
-    basis changes of the dual pass, ``primal_pivots`` the basis changes and
-    bound flips of the primal finish."""
+    basis changes of the dual pass and ``dual_flips`` the bound flips of its
+    ratio test; ``primal_pivots`` counts the basis changes and bound flips
+    of the primal finish."""
 
     status: LpStatus
     primal: np.ndarray
@@ -136,6 +148,7 @@ class LpSolution:
     reduced_costs: np.ndarray
     basis_status: np.ndarray
     dual_pivots: int = 0
+    dual_flips: int = 0
     primal_pivots: int = 0
 
 
@@ -201,6 +214,7 @@ class _Simplex:
         self.b = model.rhs.astype(float).copy()
         self.cost = np.concatenate([model.objective, np.zeros(m)])
         self.pivots_since_refactor = 0
+        self.flips = 0
         # Fixed columns (equality slacks, pinned binaries) never enter.
         self.movable = self.upper > self.lower
         if start is None or not self._warm_start(np.asarray(start)):
@@ -323,10 +337,16 @@ class _Simplex:
         Returns (None, pivots) on primal feasibility, or (ray, pivots) when a
         violated row admits no entering column: the ray is that row of the
         basis inverse, signed so that it certifies infeasibility.  The leaving
-        row is the largest bound violation; the entering column comes from a
-        Harris two-pass ratio test on the pivot row, preferring the largest
-        pivot among near-ties and then the lowest index.  After a run of
-        degenerate steps both choices switch to Bland's lowest index.
+        row is the largest bound violation.  The eligible columns' breakpoints
+        are passed in (ratio, index) order: the slope of the dual objective
+        opens at the violation and each boxed column passed lowers it by
+        |alpha_j| times its range; while it stays above ``feas_tol`` the
+        column flips to its other bound, and all flips update ``xb`` with one
+        product.  The last eligible column never flips.  The entering column
+        comes from a Harris two-pass ratio test over the columns not
+        flipped, preferring the largest pivot among near-ties and then the
+        lowest index.  After a run of degenerate steps both choices switch to
+        Bland's lowest index, and no column flips.
 
         The pass carries its working state with the basis and updates it in
         place on each pivot: the basic values ``xb`` and their bounds
@@ -352,6 +372,7 @@ class _Simplex:
         sgn[self.movable & (status == _AT_UPPER)] = -1.0
         free = status == _FREE
         has_free = bool(free.any())
+        span = self.upper - self.lower
         feas_tol = self.feas_tol
         degenerate_run = 0
         bland = False
@@ -398,6 +419,28 @@ class _Simplex:
                 room = np.where(free[idx], np.abs(dj), room)
             np.maximum(room, 0.0, out=room)
             ratio = room / mag
+            if not bland and idx.size > 1:
+                # Bound flips (see above).  A column without a finite range
+                # drops the slope to -inf and so ends the pass.  The sort
+                # runs only when the first breakpoint already flips.
+                drop = mag * span[idx]
+                if violation[r] - drop[ratio.argmin()] > feas_tol:
+                    order = np.argsort(ratio, kind="stable")
+                    slope = violation[r] - np.cumsum(drop[order])
+                    k = min(int(np.count_nonzero(slope > feas_tol)),
+                            idx.size - 1)
+                    flip = idx[order[:k]]
+                    to_up = sgn[flip] > 0
+                    moved = np.where(to_up, self.upper[flip],
+                                     self.lower[flip])
+                    xb -= self.binv @ (A[:, flip] @ (moved - values[flip]))
+                    values[flip] = moved
+                    status[flip] = np.where(to_up, _AT_UPPER, _AT_LOWER)
+                    sgn[flip] = -sgn[flip]
+                    self.flips += k
+                    rest = np.sort(order[k:])
+                    idx, mag, room, ratio = (idx[rest], mag[rest],
+                                             room[rest], ratio[rest])
             if bland:
                 tie = (ratio <= ratio.min() + _RATIO_TIE).nonzero()[0]
                 solid = tie[mag[tie] >= 1e-7 * mag[tie].max()]
@@ -601,6 +644,7 @@ class _Simplex:
                 reduced_costs=-(ray @ self.A[:, :n]),
                 basis_status=self.status.copy(),
                 dual_pivots=dual_pivots,
+                dual_flips=self.flips,
             )
 
         outcome, primal_pivots = self._iterate(self.cost)
@@ -617,5 +661,6 @@ class _Simplex:
             reduced_costs=rc,
             basis_status=self.status.copy(),
             dual_pivots=dual_pivots,
+            dual_flips=self.flips,
             primal_pivots=primal_pivots,
         )

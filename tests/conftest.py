@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tukeydepth import simplex
 from tukeydepth.model import PointSet, build_system
 from tukeydepth.oracle import GeneralPositionError, oracle_depth_general
 
@@ -36,6 +37,21 @@ def outside_hull_system(seed: int, n: int, d: int):
     margin = 1.0 + rng.uniform(0.5, 2.0)
     q = direction * (float(np.max(pts @ direction)) + margin)
     return build_system(PointSet(d, pts, q))
+
+
+def count_warm_starts(monkeypatch) -> list[bool]:
+    """Record whether each solve given a start accepted it."""
+
+    accepted = []
+    warm_start = simplex._Simplex._warm_start
+
+    def spy(self, start):
+        ok = warm_start(self, start)
+        accepted.append(ok)
+        return ok
+
+    monkeypatch.setattr(simplex._Simplex, "_warm_start", spy)
+    return accepted
 
 
 @pytest.fixture

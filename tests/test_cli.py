@@ -237,6 +237,28 @@ def test_engine_flags_match_config(triangle_file):
         branch_rule="strong", node_selection="best-first")
 
 
+def test_other_commands_take_config_defaults(triangle_file, monkeypatch):
+    """A bare ``heuristic`` and a bare ``export-mps`` read their engine
+    values from ``EngineConfig()``, so they cannot drift from ``depth``."""
+
+    cfg = EngineConfig(heuristic_variant="full", heuristic_k=3,
+                       epsilon=2e-4, c=3.0)
+    monkeypatch.setattr(cli, "EngineConfig", lambda: cfg)
+    parser = cli._build_parser()
+    args = parser.parse_args(["heuristic", str(triangle_file)])
+    assert (args.heuristic_variant, args.heuristic_k) == ("full", 3)
+    args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
+    assert (args.epsilon, args.c) == (2e-4, 3.0)
+    monkeypatch.undo()
+    parser = cli._build_parser()
+    defaults = EngineConfig()
+    args = parser.parse_args(["heuristic", str(triangle_file)])
+    assert (args.heuristic_variant, args.heuristic_k) == (
+        defaults.heuristic_variant, defaults.heuristic_k)
+    args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
+    assert (args.epsilon, args.c) == (defaults.epsilon, defaults.c)
+
+
 @pytest.mark.parametrize("instance, argv, message", [
     ("square_file", ["depth", "--heuristic-k", "0"], "at least 1"),
     ("square_file", ["heuristic", "--heuristic-k", "0"], "at least 1"),

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from tukeydepth.elastic import _fast_candidates, chinneck_cover, solve_elastic
+from tukeydepth import elastic
+from tukeydepth.elastic import (VIOL_TOL, _fast_candidates, chinneck_cover,
+                                solve_elastic)
 from tukeydepth.model import PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d
+from tukeydepth.simplex import INF, LpModel, Sense, solve_lp
 
-from conftest import gaussian_system
+from conftest import count_warm_starts, gaussian_system
 
 
 def test_elastic_on_surrounding_triangle(simplex_sys):
@@ -101,3 +105,105 @@ def test_cover_weighted_duplicates():
 def test_chinneck_rejects_k_below_one(square_sys, k):
     with pytest.raises(ValueError, match="at least 1"):
         chinneck_cover(square_sys, "fast", k)
+
+
+def _row_form(sys_, removed):
+    """min w.e over <a_j, x> + e_j >= 1 on the rows outside ``removed``,
+    x free and e >= 0: one row per active data point."""
+
+    active = [j for j in range(sys_.n_rows) if j not in removed]
+    d, k = sys_.dim, len(active)
+    A = np.zeros((k, d + k))
+    A[:, :d] = sys_.rows[active]
+    A[np.arange(k), d + np.arange(k)] = 1.0
+    model = LpModel(np.concatenate([np.zeros(d), sys_.weights[active]]), A,
+                    [Sense.GE] * k, np.ones(k),
+                    np.concatenate([np.full(d, -INF), np.zeros(k)]),
+                    np.full(d + k, INF))
+    return model, active
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dual_form_matches_row_form(seed, monkeypatch):
+    """The dual-form elastic LP, cold and warm from the solution over a
+    subset of its removed rows, reaches the row form's SINF and NINF; its
+    violations are the row form's elastic values."""
+
+    rng = np.random.default_rng(9100 + seed)
+    sys_, _, _ = gaussian_system(9100 + seed, int(rng.integers(10, 31)),
+                                 2 + seed % 4)
+    n = sys_.n_rows
+    accepted = count_warm_starts(monkeypatch)
+    for _ in range(6):
+        removed = frozenset(int(j) for j in rng.choice(
+            n, size=int(rng.integers(0, n // 2 + 1)), replace=False))
+        sub = frozenset(j for j in removed if rng.random() < 0.5)
+        model, active = _row_form(sys_, removed)
+        ref = solve_lp(model)
+        e = ref.primal[sys_.dim:]
+        ref_ninf = int(np.count_nonzero(e > VIOL_TOL))
+        ref_sinf = ref.objective_value if ref_ninf else 0.0
+        parent = solve_elastic(sys_, sub)
+        cold = solve_elastic(sys_, removed)
+        warm = solve_elastic(sys_, removed, start=parent.basis_status)
+        assert accepted[-1]
+        for sol in (cold, warm):
+            assert sol.removed == removed
+            assert sol.ninf == ref_ninf
+            assert sol.sinf == pytest.approx(ref_sinf, abs=1e-9, rel=1e-9)
+            assert np.allclose(sol.violations[active], e, atol=1e-9)
+            assert not sol.violations[list(removed)].any()
+            assert not sol.sensitivities[list(removed)].any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chinneck_trials_start_warm(seed, monkeypatch):
+    """Every elastic solve of the heuristic after its first starts from the
+    basis of the solution it extends, and every such start is accepted."""
+
+    sys_, _, _ = gaussian_system(9200 + seed, 14 + 2 * seed, 2 + seed % 3)
+    accepted = count_warm_starts(monkeypatch)
+    calls = []
+    solve = elastic.solve_elastic
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("start") is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(elastic, "solve_elastic", spy)
+    for variant, k in (("fast", 1), ("fast", 2), ("full", 1)):
+        calls.clear()
+        accepted.clear()
+        chinneck_cover(sys_, variant, k)
+        assert len(calls) > 2
+        assert calls == [False] + [True] * (len(calls) - 1)
+        assert accepted == [True] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cold_wide_elastic_takes_few_pivots(d, monkeypatch):
+    """Cold elastic LPs over 200-point clouds whose query is the outermost
+    point, drawn as the screening benchmark draws them: the bound flips
+    leave at most 2d + 2 dual pivots, and no primal pivot."""
+
+    pivots = []
+    solve = elastic.solve_lp
+
+    def spy(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        pivots.append((sol.dual_pivots, sol.primal_pivots))
+        return sol
+
+    monkeypatch.setattr(elastic, "solve_lp", spy)
+    for seed in range(1, 4):
+        for k in range(d - 2, 40, 2):
+            rng = np.random.default_rng([seed, k, 0])
+            pts = rng.normal(size=(201, d))
+            q = int(np.argmax(np.linalg.norm(pts, axis=1)))
+            sys_ = build_system(PointSet(d, np.delete(pts, q, axis=0),
+                                         pts[q]))
+            assert sys_.n_rows == 200
+            assert solve_elastic(sys_, set()).ninf == 0
+    assert len(pivots) == 60
+    assert max(p for p, _ in pivots) <= 2 * d + 2
+    assert not any(p for _, p in pivots)

@@ -18,7 +18,7 @@ from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d
 from tukeydepth.simplex import INF, LpStatus, solve_lp
 
-from conftest import gaussian_system
+from conftest import count_warm_starts, gaussian_system
 
 
 def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
@@ -138,6 +138,36 @@ def test_select_branch_strong_matches_child_bounds(square_sys):
     best = max(scores.values())
     expected = min(j for j, v in scores.items() if v >= best - 1e-12)
     assert chosen == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_branching_elastic_lps_start_warm(seed, monkeypatch):
+    """Each greedy-branching elastic LP below a node that already solved
+    one starts from that solution's basis, and the kernel accepts every
+    such start: at most the root's starts cold.  The depth matches the
+    oracle."""
+
+    sys_, depth, _ = gaussian_system(6900 + seed, 22, 2 + seed % 2)
+    every_start = count_warm_starts(monkeypatch)
+    accepted, starts = [], []
+    solve = engine.solve_elastic
+
+    def spy(sys_, removed, *args, start=None, **kwargs):
+        starts.append(start is not None)
+        before = len(every_start)
+        sol = solve(sys_, removed, *args, start=start, **kwargs)
+        accepted.extend(every_start[before:])
+        return sol
+
+    monkeypatch.setattr(engine, "solve_elastic", spy)
+    for select in ("depth-first", "best-first"):
+        starts.clear()
+        accepted.clear()
+        res = solve_depth(sys_, EngineConfig(node_selection=select))
+        assert res.depth == depth and res.exact
+        assert starts.count(False) <= 1
+        assert accepted == [True] * starts.count(True)
+        assert starts.count(True) > 0
 
 
 def test_select_branch_integral_node_errors(simplex_sys):

@@ -4,13 +4,13 @@ from scipy.optimize import linprog
 
 from tukeydepth import cuts, engine, simplex
 from tukeydepth.cuts import bis_cut, generate_cuts
-from tukeydepth.elastic import _elastic_lp
+from tukeydepth.elastic import _elastic_model
 from tukeydepth.engine import MipForm, MipModel, complement_direction
 from tukeydepth.model import ParamBounds
 from tukeydepth.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, INF, LpModel,
                                  LpStatus, Sense, solve_lp)
 
-from conftest import gaussian_system
+from conftest import count_warm_starts, gaussian_system
 
 
 def lp(obj, rows, senses, rhs, lower, upper):
@@ -124,7 +124,7 @@ def _resolve_twice():
     mip = MipModel(sys_, ParamBounds.for_system(sys_))
     builders = (
         lambda: mip.relaxation(frozenset({0}), frozenset({1}), (cut,)),
-        lambda: _elastic_lp(sys_, list(range(1, sys_.n_rows))),
+        lambda: _elastic_model(sys_, {0}),
     )
     for build in builders:
         _assert_identical(solve_lp(build()), solve_lp(build()))
@@ -406,7 +406,7 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
     assert len(weighted) == 1
     assert weighted == generate_cuts(sys_, np.clip(nudged, 0.0, 1.0), fix1)
     models = {
-        "elastic": [_elastic_lp(sys_, list(range(1, n)))],
+        "elastic": [_elastic_model(sys_, {0})],
         "bis_cut": _spy_models(monkeypatch, cuts,
                                lambda: bis_cut(sys_, range(n))),
         "weighted bis_cut": _spy_models(
@@ -437,21 +437,6 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
             assert sol.status is LpStatus.OPTIMAL, name
             assert sol.objective_value == pytest.approx(
                 ref.fun, abs=1e-7, rel=1e-7), name
-
-
-def _count_warm_starts(monkeypatch) -> list[bool]:
-    """Record whether each solve given a start accepted it."""
-
-    accepted = []
-    warm_start = simplex._Simplex._warm_start
-
-    def spy(self, start):
-        ok = warm_start(self, start)
-        accepted.append(ok)
-        return ok
-
-    monkeypatch.setattr(simplex._Simplex, "_warm_start", spy)
-    return accepted
 
 
 def _random_cuts(rng, rows: list[int], dim: int, count: int):
@@ -493,7 +478,7 @@ def test_warm_start_after_cuts_and_fixings(seed, monkeypatch):
                 "fixing": (more1, more0, base_cuts),
                 "both": (more1, more0, new_cuts)}
 
-    accepted = _count_warm_starts(monkeypatch)
+    accepted = count_warm_starts(monkeypatch)
     for name, child in children.items():
         model = mip.relaxation(*child)
         warm = solve_lp(model, start=parent.basis_status)
@@ -522,10 +507,11 @@ def _unusable_start(kind: str):
     sys_, _, _ = gaussian_system(7200, 14, 3)
     d, n = sys_.dim, sys_.n_rows
     if kind == "infinite_bound":
-        # The elastic LP's x is free; nonbasic at its lower bound it has none.
-        model = _elastic_lp(sys_, list(range(n)))
-        start = np.full(d + 2 * n, _BASIC, dtype=np.int8)
-        start[:d + n] = _AT_LOWER
+        # The alternative LP's y_j >= 0 has no upper bound to sit at.
+        model = cuts._alternative_lp(sys_, list(range(n)))
+        start = np.full(n + d + 1, _BASIC, dtype=np.int8)
+        start[:n] = _AT_LOWER
+        start[0] = _AT_UPPER
         return model, start
     cut = bis_cut(sys_, range(n))
     model = MipModel(sys_, ParamBounds.for_system(sys_)).relaxation(
@@ -552,7 +538,82 @@ def _unusable_start(kind: str):
                                   "dual_infeasible", "infinite_bound"])
 def test_unusable_start_falls_back_to_cold(kind, monkeypatch):
     model, start = _unusable_start(kind)
-    accepted = _count_warm_starts(monkeypatch)
+    accepted = count_warm_starts(monkeypatch)
     warm = solve_lp(model, start=start)
     assert accepted == [False]
     _assert_identical(warm, solve_lp(model))
+
+
+
+def _boxed_lp(rng):
+    """A random feasible LP whose columns are all boxed, with all three row
+    senses, built around a point of the box."""
+
+    n = int(rng.integers(4, 16))
+    m = int(rng.integers(1, 6))
+    lower = rng.uniform(-2, 0, n)
+    upper = lower + rng.uniform(0.1, 3, n)
+    rows = rng.normal(size=(m, n))
+    senses = [Sense.GE if rng.random() < 0.4 else
+              (Sense.LE if rng.random() < 0.8 else Sense.EQ)
+              for _ in range(m)]
+    act = rows @ rng.uniform(lower, upper)
+    gap = rng.uniform(0, 1, m)
+    rhs = np.array([a - g if s is Sense.GE else a + g if s is Sense.LE
+                    else a for a, g, s in zip(act, gap, senses)])
+    return lp(rng.normal(size=n), rows, senses, rhs, lower, upper)
+
+
+def _shrunk(rng, model: LpModel, infeasible: bool) -> LpModel:
+    """The LP with about half its boxes shrunk from below and, when asked,
+    one right-hand side moved beyond what any point of the box reaches.
+    Neither change touches the reduced costs, so every basis that was dual
+    feasible stays so."""
+
+    span = model.upper - model.lower
+    lower = model.lower + (rng.uniform(0, 0.3, model.columns) * span
+                           * (rng.random(model.columns) < 0.5))
+    rhs = model.rhs.copy()
+    if infeasible:
+        i = int(rng.integers(0, model.n_rows))
+        row = model.row_coeffs[i]
+        lo = np.minimum(row * lower, row * model.upper).sum()
+        hi = np.maximum(row * lower, row * model.upper).sum()
+        rhs[i] = lo - 0.1 if model.senses[i] is Sense.LE else hi + 0.1
+    return LpModel(model.objective, model.row_coeffs, model.senses, rhs,
+                   lower, model.upper)
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_bound_flipping_ratio_test_matches_scipy(infeasible, monkeypatch):
+    """Boxed LPs, and their shrunk (and, for the infeasible case, made
+    infeasible) children solved cold and warm from the parent's basis:
+    scipy's status and objective, no primal pivot, every start accepted,
+    and the dual pass flips bounds both cold and warm."""
+
+    rng = np.random.default_rng(8100 + infeasible)
+    accepted = count_warm_starts(monkeypatch)
+    flips = {"cold": 0, "warm": 0}
+    for _ in range(80):
+        parent = _boxed_lp(rng)
+        child = _shrunk(rng, parent, infeasible)
+        cold = solve_lp(parent)
+        assert cold.status is LpStatus.OPTIMAL
+        warm = solve_lp(child, start=cold.basis_status)
+        assert accepted[-1]
+        for name, sol, built in (("cold", cold, parent),
+                                 ("cold", solve_lp(child), child),
+                                 ("warm", warm, child)):
+            flips[name] += sol.dual_flips
+            assert sol.primal_pivots == 0, name
+            ref = _scipy_reference(built)
+            if infeasible and built is child:
+                assert ref.status == 2, name
+                assert sol.status is LpStatus.INFEASIBLE, name
+                continue
+            assert ref.status == 0, name
+            assert sol.status is LpStatus.OPTIMAL, name
+            assert sol.objective_value == pytest.approx(
+                ref.fun, abs=1e-7, rel=1e-7), name
+            _check_kkt(built, sol)
+    assert flips["cold"] > 0 and flips["warm"] > 0, flips
