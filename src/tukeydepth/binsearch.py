@@ -18,7 +18,7 @@ import numpy as np
 from .cuts import CutPool
 from .elastic import chinneck_cover
 from .engine import (BranchCutEngine, DepthResult, EngineConfig, MipForm,
-                     MipModel, SolveStats, _finalize)
+                     MipModel, SolveStats, _finalize, _non_cover)
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import LpCounter
 
@@ -30,11 +30,11 @@ def _box_scaled_margin(sys: InfeasibleSystem, cover, direction: np.ndarray,
     """Smallest non-cover row margin after scaling the direction into the
     [-c, c] box, i.e. an epsilon the fixed-epsilon program could safely use."""
 
-    non_cover = [j for j in range(sys.n_rows) if j not in cover]
-    if not non_cover or not np.any(direction):
+    keep = _non_cover(sys, cover)
+    if not keep.any() or not np.any(direction):
         return 0.0
     scaled = direction * (c / np.max(np.abs(direction)))
-    return float(np.min(sys.rows[non_cover] @ scaled))
+    return float(np.min(sys.rows[keep] @ scaled))
 
 
 def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
@@ -55,9 +55,9 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     t0 = time.monotonic()
     pool = pool if pool is not None else CutPool()
 
-    best_cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
-                                          cfg.heuristic_k, cfg.viol_tol,
-                                          counter))
+    best_cover, best_direction, root = chinneck_cover(
+        sys, cfg.heuristic_variant, cfg.heuristic_k, cfg.viol_tol, counter)
+    best_cover = frozenset(best_cover)
     upper = sys.weight_of(best_cover)
     stats.heuristic_weight = upper
 
@@ -78,17 +78,17 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
             probe_cfg = replace(cfg, time_limit=remaining)
         mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
                        MipForm.GUESS, guess=guess)
-        witness, exact = BranchCutEngine(mip, probe_cfg, pool, counter,
-                                         stats).run_guess()
+        witness, direction, exact = BranchCutEngine(
+            mip, probe_cfg, pool, counter, stats, root).run_guess()
         if not exact:
             break
         if witness is None:
             lower = guess + 1
         else:
             upper = guess
-            best_cover = witness
+            best_cover, best_direction = witness, direction
 
-    result = _finalize(sys, best_cover, stats, cfg, exact,
+    result = _finalize(sys, best_cover, best_direction, stats, cfg, exact,
                        upper if exact else lower, 0.0, counter)
     result.epsilon = _box_scaled_margin(sys, best_cover, result.direction,
                                         cfg.c)

@@ -170,7 +170,8 @@ def _cmd_solve(args, solver) -> int:
 
 def _cmd_heuristic(args) -> int:
     sys_ = _load_system(args)
-    cover = chinneck_cover(sys_, args.heuristic_variant, args.heuristic_k)
+    cover, _, _ = chinneck_cover(sys_, args.heuristic_variant,
+                                 args.heuristic_k)
     weight = sys_.weight_of(cover) + sys_.zero_offset
     payload = {"schema": JSON_SCHEMA_VERSION, "upper_bound": weight,
                "cover": sorted(int(j) for j in cover),

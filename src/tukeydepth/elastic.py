@@ -116,7 +116,8 @@ def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
 
 def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
                    k: int = 1, viol_tol: float = VIOL_TOL,
-                   counter: LpCounter | None = None) -> set[int]:
+                   counter: LpCounter | None = None
+                   ) -> tuple[set[int], np.ndarray, ElasticSolution]:
     """Greedy removal cover: rows whose deletion restores feasibility.
 
     Solves the elastic program, tries deleting each candidate row, and
@@ -129,6 +130,11 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     ``variant`` is "full" (candidates are all violated rows) or "fast"
     (top-k candidates by the sensitivity scores, k >= 1).  Terminates in at
     most n steps because every step deletes at least one row for good.
+
+    Returns (cover, x, root).  x is the last elastic solution's direction:
+    <a_j, x> >= 1 - viol_tol on every row outside the cover, since the row
+    taken directly was its only violated one.  root is the first elastic
+    solution, over all rows.
     """
 
     if variant not in ("full", "fast"):
@@ -136,13 +142,13 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     if k < 1:
         raise ValueError(f"heuristic k must be at least 1, got {k}")
     cover: set[int] = set()
-    sol = solve_elastic(sys, cover, viol_tol, counter)
+    root = sol = solve_elastic(sys, cover, viol_tol, counter)
     while sol.ninf > 0:
         alive = [j for j in range(sys.n_rows) if j not in cover]
         if sol.ninf == 1:
             only = next(j for j in alive if sol.violations[j] > viol_tol)
             cover.add(only)
-            return cover
+            break
 
         if variant == "full":
             candidates = [j for j in alive if sol.violations[j] > viol_tol]
@@ -159,4 +165,4 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)
         sol = best_resolve
-    return cover
+    return cover, sol.x, root

@@ -157,8 +157,9 @@ class Node:
     ``basis_status`` is the parent's final LP basis, where this node's first
     LP starts (None at the root).  ``elastic`` is the latest greedy-branching
     elastic solution on the path to this node: its own once branching ran
-    here, else its parent's.  Its removed rows are a subset of ``fixed1``,
-    so its basis is a valid start for this node's elastic LP.
+    here, else its parent's (at the root, the heuristic's first, over all
+    rows).  Its removed rows are a subset of ``fixed1``, so its basis is a
+    valid start for this node's elastic LP.
     """
 
     fixed1: frozenset = frozenset()
@@ -269,6 +270,29 @@ def _is_integral(s: np.ndarray) -> bool:
     return bool(np.all(np.minimum(s, 1.0 - s) <= INT_TOL))
 
 
+def _non_cover(sys: InfeasibleSystem, cover) -> np.ndarray:
+    """Boolean mask of the rows outside ``cover``."""
+
+    keep = np.ones(sys.n_rows, dtype=bool)
+    keep[list(cover)] = False
+    return keep
+
+
+def _verified_direction(sys: InfeasibleSystem, cover, direction,
+                        cert_tol: float):
+    """``direction`` scaled to unit length when plain arithmetic puts every
+    non-cover row's margin above ``cert_tol``, else None."""
+
+    if direction is None:
+        return None
+    norm = float(np.linalg.norm(direction))
+    if not norm > 0:
+        return None
+    unit = direction / norm
+    margins = sys.rows[_non_cover(sys, cover)] @ unit
+    return unit if np.all(margins > cert_tol) else None
+
+
 def complement_direction(sys: InfeasibleSystem, cover,
                          feas_tol: float = 1e-9,
                          counter: LpCounter | None = None):
@@ -284,8 +308,8 @@ def complement_direction(sys: InfeasibleSystem, cover,
     so <a_j, -u> >= t > 0 for every non-cover row: the direction is -u.
     """
 
-    non_cover = [j for j in range(sys.n_rows) if j not in cover]
-    if not non_cover:
+    non_cover = np.flatnonzero(_non_cover(sys, cover))
+    if not non_cover.size:
         e1 = np.zeros(sys.dim)
         e1[0] = 1.0
         return e1
@@ -421,17 +445,22 @@ class BranchCutEngine:
     """Coordinator owning the cut pool handle, the LP counter, the search
     stats and the budget.  One search loop serves both program forms: it
     pops one node at a time, evaluates it and applies its outcome before
-    the next pop; ``run_depth`` and ``run_guess`` read its result."""
+    the next pop; ``run_depth`` and ``run_guess`` read its result.
+    ``root_elastic`` is the elastic solution over all rows when the caller
+    already has one (the heuristic's first): the root's greedy branching
+    reads it instead of solving that LP again."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
                  counter: LpCounter | None = None,
-                 stats: SolveStats | None = None):
+                 stats: SolveStats | None = None,
+                 root_elastic: ElasticSolution | None = None):
         self.mip = mip
         self.cfg = cfg
         self.pool = pool
         self.counter = counter if counter is not None else LpCounter()
         self.stats = stats if stats is not None else SolveStats()
         self.budget = _Budget(cfg)
+        self.root_elastic = root_elastic
 
     # -- per-node work ------------------------------------------------------
 
@@ -560,21 +589,25 @@ class BranchCutEngine:
 
     # -- tree drivers ---------------------------------------------------------
 
-    def _search(self, cover, weight: float):
+    def _search(self, cover, direction, weight: float):
         """Pop, evaluate and apply nodes until the tree is exhausted, the
         guess form finds its witness, or a budget is spent.
 
-        The depth form keeps the lightest cover, starting from (cover,
-        weight).  The guess form stops at its first integral node whose
-        complement ``complement_direction`` confirms; the prune test already
-        put that node's margin above EPS_POS, and the check guards against a
-        numerically spurious one.  Returns (cover, weight, exact, store),
-        with exact False when a budget ended the search and the open nodes
-        left in the store.
+        Each cover is kept with a direction meant to certify it: a
+        fathomed node's LP x (margin at least epsilon on every kept row) or
+        the rounding heuristic's.  The depth form keeps the lightest cover,
+        starting from (cover, direction, weight).  The guess form stops at
+        its first integral node whose complement is confirmed: by its LP x
+        under plain arithmetic, else by ``complement_direction``.  The prune
+        test already put that node's margin above EPS_POS, and the check
+        guards against a numerically spurious one.  Returns (cover,
+        direction, weight, exact, store), with exact False when a budget
+        ended the search and the open nodes left in the store.
         """
 
+        sys, d = self.mip.sys, self.mip.dim
         store = _NodeStore(self.cfg.node_selection)
-        store.push(Node())
+        store.push(Node(elastic=self.root_elastic))
         exact = True
         while len(store):
             if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
@@ -587,17 +620,23 @@ class BranchCutEngine:
             self.stats.nodes += 1
             self.stats.cuts += out.new_cut_count
             if out.rounding is not None and out.rounding[1] < weight:
-                cover, weight = out.rounding[0], out.rounding[1]
+                cover, weight, direction = out.rounding
             if out.kind is OutcomeKind.FATHOMED:
-                found = self.mip.sys.weight_of(out.cover)
+                found = sys.weight_of(out.cover)
+                x = out.lp.primal[:d]
                 if self.mip.form is MipForm.DEPTH:
                     if found < weight:
-                        cover, weight = out.cover, found
-                elif complement_direction(self.mip.sys, out.cover,
-                                          self.cfg.feas_tol,
-                                          self.counter) is not None:
-                    cover, weight = out.cover, found
-                    break
+                        cover, direction, weight = out.cover, x, found
+                else:
+                    x = _verified_direction(sys, out.cover, x,
+                                            self.cfg.cert_tol)
+                    if x is None:
+                        x = complement_direction(sys, out.cover,
+                                                 self.cfg.feas_tol,
+                                                 self.counter)
+                    if x is not None:
+                        cover, direction, weight = out.cover, x, found
+                        break
             elif out.kind is OutcomeKind.FRACTIONAL:
                 if out.budget_hit:
                     exact = False
@@ -605,32 +644,34 @@ class BranchCutEngine:
                                     out.objective, node.tree_depth))
                     break
                 store.push_children(node, out)
-        return cover, weight, exact, store
+        return cover, direction, weight, exact, store
 
-    def run_depth(self, incumbent_cover: frozenset, incumbent_weight: int):
-        """Exhaust the tree (or a budget), returning the best cover found,
-        whether the run proved optimality, and the final lower bound."""
+    def run_depth(self, incumbent_cover: frozenset, incumbent_direction,
+                  incumbent_weight: int):
+        """Exhaust the tree (or a budget), returning the best cover found
+        with its direction, its weight, whether the run proved optimality,
+        and the final lower bound."""
 
-        cover, weight, exact, store = self._search(incumbent_cover,
-                                                   incumbent_weight)
+        cover, direction, weight, exact, store = self._search(
+            incumbent_cover, incumbent_direction, incumbent_weight)
         lower = weight
         if not exact:
             lower = min([lower] + [_int_floor_bound(b)
                                    for b in store.bounds()])
-        return cover, weight, exact, lower
+        return cover, direction, weight, exact, lower
 
     def run_guess(self):
         """Early-exit search of the guess form.
 
-        Returns (cover, exact).  The cover is the first witness: an integral
-        solution whose margin exceeds EPS_POS and whose complement is
-        confirmed satisfiable.  It is None when the tree is exhausted
-        without one (the guess is below the depth), and also when a budget
-        runs out first, which alone makes exact False.
+        Returns (cover, direction, exact).  The cover is the first witness:
+        an integral solution whose margin exceeds EPS_POS and whose
+        complement the unit direction separates.  Both are None when the
+        tree is exhausted without one (the guess is below the depth), and
+        also when a budget runs out first, which alone makes exact False.
         """
 
-        cover, _, exact, _ = self._search(None, INF)
-        return cover, exact
+        cover, direction, _, exact, _ = self._search(None, None, INF)
+        return cover, direction, exact
 
 
 class _NodeStore:
@@ -695,17 +736,22 @@ class _NodeStore:
 # ---------------------------------------------------------------------------
 
 
-def _finalize(sys: InfeasibleSystem, cover, stats: SolveStats,
+def _finalize(sys: InfeasibleSystem, cover, direction, stats: SolveStats,
               cfg: EngineConfig, exact: bool, lower_bound: int,
               epsilon: float, counter: LpCounter) -> DepthResult:
-    direction = complement_direction(sys, cover, cfg.feas_tol, counter)
-    cert = "unverified"
-    if direction is not None:
-        non_cover = [j for j in range(sys.n_rows) if j not in cover]
-        margins = sys.rows[non_cover] @ direction if non_cover else np.array([1.0])
-        if np.all(margins > cfg.cert_tol):
-            cert = "verified"
-    else:
+    """The result for ``cover``, certified by ``direction`` (the one its
+    search found) when every non-cover margin of it clears ``cert_tol``;
+    else by the alternative LP over the non-cover rows, and "unverified"
+    when that fails too."""
+
+    unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
+    if unit is None:
+        direction = complement_direction(sys, cover, cfg.feas_tol, counter)
+        unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
+    cert = "verified" if unit is not None else "unverified"
+    if unit is not None:
+        direction = unit
+    elif direction is None:
         direction = np.zeros(sys.dim)
     stats.lps = counter.count
     stats.dual_pivots = counter.dual_pivots
@@ -735,8 +781,10 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     stats = SolveStats()
     t0 = time.monotonic()
 
-    cover = frozenset(chinneck_cover(sys, cfg.heuristic_variant,
-                                     cfg.heuristic_k, cfg.viol_tol, counter))
+    cover, direction, root = chinneck_cover(sys, cfg.heuristic_variant,
+                                            cfg.heuristic_k, cfg.viol_tol,
+                                            counter)
+    cover = frozenset(cover)
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight
     exact, lower = True, weight
@@ -744,9 +792,10 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
         mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
                        MipForm.DEPTH)
         engine = BranchCutEngine(mip, cfg, pool if pool is not None
-                                 else CutPool(), counter, stats)
-        cover, weight, exact, lower = engine.run_depth(cover, weight)
-    result = _finalize(sys, cover, stats, cfg, exact, lower, cfg.epsilon,
-                       counter)
+                                 else CutPool(), counter, stats, root)
+        cover, direction, weight, exact, lower = engine.run_depth(
+            cover, direction, weight)
+    result = _finalize(sys, cover, direction, stats, cfg, exact, lower,
+                       cfg.epsilon, counter)
     result.stats.wall_time = time.monotonic() - t0
     return result

@@ -49,18 +49,18 @@ def test_elastic_weights_scale_objective():
 
 def test_cover_on_surrounding_triangle(simplex_sys):
     for variant in ("full", "fast"):
-        cover = chinneck_cover(simplex_sys, variant, 1)
+        cover, _, _ = chinneck_cover(simplex_sys, variant, 1)
         assert simplex_sys.weight_of(cover) == 1
         post = solve_elastic(simplex_sys, cover)
         assert post.sinf <= 1e-9
 
 
 def test_cover_feasible_system_is_empty(outside_sys):
-    assert chinneck_cover(outside_sys, "fast", 1) == set()
+    assert chinneck_cover(outside_sys, "fast", 1)[0] == set()
 
 
 def test_cover_square_corners(square_sys):
-    cover = chinneck_cover(square_sys, "fast", 1)
+    cover, _, _ = chinneck_cover(square_sys, "fast", 1)
     assert square_sys.weight_of(cover) == 2
     post = solve_elastic(square_sys, cover)
     assert post.sinf <= 1e-9
@@ -75,7 +75,7 @@ def test_unknown_variant_rejected(simplex_sys):
 def test_cover_feasibility_and_admissibility(seed):
     sys_, depth, _ = gaussian_system(3000 + seed, 8 + seed, 2 + seed % 3)
     for variant in ("full", "fast"):
-        cover = chinneck_cover(sys_, variant, 1)
+        cover, _, _ = chinneck_cover(sys_, variant, 1)
         post = solve_elastic(sys_, cover)
         assert post.sinf <= 1e-7, "cover must restore feasibility"
         assert sys_.weight_of(cover) + sys_.zero_offset >= depth
@@ -96,7 +96,7 @@ def test_cover_weighted_duplicates():
     pts = [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3
     sys_ = build_system(PointSet(2, pts, [0, 0]))
     assert sys_.n_rows == 3
-    cover = chinneck_cover(sys_, "fast", 1)
+    cover, _, _ = chinneck_cover(sys_, "fast", 1)
     assert sys_.weight_of(cover) == 3
     assert oracle_depth_2d(sys_) == 3
 

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth import cuts, engine
+from tukeydepth import binsearch, cuts, elastic, engine
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
-from tukeydepth.elastic import solve_elastic
+from tukeydepth.elastic import chinneck_cover, solve_elastic
 from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
                                MipModel, Node, OutcomeKind, _NodeStore,
                                complement_direction, expand,
                                rounding_heuristic, select_branch_variable,
                                solve_depth)
 from tukeydepth.model import ParamBounds, PointSet, build_system
-from tukeydepth.oracle import oracle_depth_2d
-from tukeydepth.simplex import INF, LpStatus, solve_lp
+from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
+from tukeydepth.simplex import INF, LpCounter, LpStatus, solve_lp
 
 from conftest import count_warm_starts, gaussian_system
 
@@ -297,7 +297,8 @@ def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
     search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
     # The all-rows incumbent lets every rounding reach its feasibility check.
     everything = frozenset(range(sys_.n_rows))
-    _, weight, exact, _ = search.run_depth(everything, sys_.n_rows)
+    _, _, weight, exact, _ = search.run_depth(everything, None,
+                                              sys_.n_rows)
     assert exact and weight == depth
     for name, tols in received.items():
         assert tols, name
@@ -404,6 +405,135 @@ def test_complement_direction_signs(simplex_sys):
     assert d is not None
     assert simplex_sys.rows[[0, 1]] @ d == pytest.approx([1, 1], abs=1)
     assert np.all(simplex_sys.rows[[0, 1]] @ d > 0)
+
+
+def _screen_system(k):
+    """Outermost point of a 201-point Gaussian cloud, left out of it, against
+    the other 200 (depth 0); d alternates between 2 and 3."""
+
+    d = 2 + k % 2
+    pts = np.random.default_rng([1, k, 0]).normal(size=(201, d))
+    q = int(np.argmax(np.linalg.norm(pts, axis=1)))
+    return build_system(PointSet(d, np.delete(pts, q, axis=0), pts[q]))
+
+
+def _vertex_system(k):
+    """A query just inside the outermost point of a 40-point cloud: that
+    point alone is cut off, so the depth is 1."""
+
+    d = 2 + k % 2
+    pts = np.random.default_rng([k, 99]).normal(size=(40, d))
+    return build_system(PointSet(
+        d, pts, 0.99 * pts[np.argmax(np.linalg.norm(pts, axis=1))]))
+
+
+def _heuristic_lps(sys_, cfg):
+    counter = LpCounter()
+    chinneck_cover(sys_, cfg.heuristic_variant, cfg.heuristic_k,
+                   cfg.viol_tol, counter)
+    return counter.count
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+@pytest.mark.parametrize("depth,make", [(0, _screen_system),
+                                        (1, _vertex_system)],
+                         ids=["screen-depth0", "vertex-depth1"])
+def test_heuristic_direction_certifies_without_lp(solve, depth, make):
+    """A cover the heuristic closes is certified by its last elastic x: the
+    solve runs the heuristic's LPs and no other (one for depth 0)."""
+
+    cfg = EngineConfig()
+    for k in range(4):
+        sys_ = make(k)
+        assert oracle_depth_general(sys_) == depth
+        res = solve(sys_, cfg)
+        assert res.depth == depth and res.exact
+        assert res.certificate == "verified"
+        assert res.stats.lps == _heuristic_lps(sys_, cfg)
+        if depth == 0:
+            assert res.stats.lps == 1
+        keep = [j for j in range(sys_.n_rows) if j not in res.cover]
+        assert np.all(sys_.rows[keep] @ res.direction > cfg.cert_tol)
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_failed_direction_falls_back_to_alternative_lp(solve, monkeypatch):
+    """A carried direction that fails the margin check (here the reversed
+    heuristic x) is replaced by the alternative LP's, still verified."""
+
+    def reversed_x(*args, **kwargs):
+        cover, x, root = chinneck_cover(*args, **kwargs)
+        return cover, -x, root
+
+    cert_calls = []
+
+    def spy(*args, **kwargs):
+        cert_calls.append(args[1])
+        return complement_direction(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "chinneck_cover", reversed_x)
+    monkeypatch.setattr(binsearch, "chinneck_cover", reversed_x)
+    monkeypatch.setattr(engine, "complement_direction", spy)
+    cfg = EngineConfig()
+    for sys_ in (_screen_system(0), _vertex_system(1)):
+        cert_calls.clear()
+        res = solve(sys_, cfg)
+        assert res.certificate == "verified"
+        assert len(cert_calls) == 1
+        assert res.stats.lps == _heuristic_lps(sys_, cfg) + 1
+        keep = [j for j in range(sys_.n_rows) if j not in res.cover]
+        assert np.all(sys_.rows[keep] @ res.direction > cfg.cert_tol)
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_tree_covers_confirmed_at_most_once(solve, monkeypatch):
+    """``complement_direction`` runs at most once per distinct cover the
+    tree finds: a fathomed node's x goes to the result with its cover, and
+    a bisection witness's x is checked by arithmetic first, the direction
+    that confirmed it being the one the result carries."""
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(frozenset(args[1]))
+        return complement_direction(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "complement_direction", spy)
+    improved = cert_lps = 0
+    for seed in range(7000, 7010):
+        seen.clear()
+        sys_, depth, _ = gaussian_system(seed, 10 + 2 * (seed % 10),
+                                         2 + seed % 3)
+        res = solve(sys_)
+        assert res.depth == depth and res.certificate == "verified"
+        assert len(seen) == len(set(seen))
+        improved += res.stats.heuristic_weight > res.depth
+        cert_lps += len(seen)
+    assert improved
+    # On these instances every tree cover's x passes the arithmetic check.
+    assert cert_lps == 0
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_root_elastic_lp_solved_once(solve, monkeypatch):
+    """The greedy branching of the root (of every probe, in bisection)
+    reads the heuristic's first elastic solution instead of solving the
+    elastic LP over all rows again."""
+
+    removed = []
+
+    def spy(sys_, rem, *args, **kwargs):
+        removed.append(frozenset(rem))
+        return solve_elastic(sys_, rem, *args, **kwargs)
+
+    monkeypatch.setattr(elastic, "solve_elastic", spy)
+    monkeypatch.setattr(engine, "solve_elastic", spy)
+    for seed, n, d in ((6400, 16, 3), (7300, 15, 2), (7006, 22, 2)):
+        removed.clear()
+        sys_, depth, _ = gaussian_system(seed, n, d)
+        res = solve(sys_)
+        assert res.depth == depth and res.stats.nodes > 1
+        assert removed.count(frozenset()) == 1
 
 
 @st.composite
