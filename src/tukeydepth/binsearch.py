@@ -5,7 +5,9 @@ keep a strictly positive margin?" and the engine answers by maximizing that
 margin under the cardinality cap, stopping at the first positive witness.
 No a-priori epsilon is needed, and the certified margin of the final answer
 is itself a usable epsilon for the fixed-epsilon program.  Cuts found while
-answering one probe are pooled and seed all later probes.
+answering one probe are pooled and seed all later probes, and each probe's
+root LP derives from the previous probe's: its rows only gain the new pool
+cuts and the cardinality row's right-hand side.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .cuts import CutPool
 from .elastic import chinneck_cover
 from .engine import (BranchCutEngine, DepthResult, EngineConfig, MipForm,
-                     MipModel, SolveStats, _finalize, _non_cover)
+                     MipModel, SolveStats, _finalize, _info_log, _non_cover)
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import LpCounter
 
@@ -61,8 +63,10 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     upper = sys.weight_of(best_cover)
     stats.heuristic_weight = upper
 
+    log = _info_log(__name__)
     lower = 1
     exact = True
+    engine = None
     while lower < upper:
         guess = (lower + upper) // 2
         stats.guesses += 1
@@ -78,15 +82,25 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
             probe_cfg = replace(cfg, time_limit=remaining)
         mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
                        MipForm.GUESS, guess=guess)
-        witness, direction, exact = BranchCutEngine(
-            mip, probe_cfg, pool, counter, stats, root).run_guess()
-        if not exact:
-            break
-        if witness is None:
+        if log is not None:
+            started, nodes0 = time.monotonic(), stats.nodes
+        engine = BranchCutEngine(mip, probe_cfg, pool, counter, stats, root,
+                                 None if engine is None else engine.root_lp)
+        witness, direction, exact = engine.run_guess()
+        if exact and witness is None:
             lower = guess + 1
-        else:
+        elif exact:
             upper = guess
             best_cover, best_direction = witness, direction
+        if log is not None:
+            log.info("probe %d: guess %d, %s, %d nodes, %.2f s, depth in "
+                     "[%d, %d]", stats.guesses, guess,
+                     "budget spent" if not exact
+                     else "no witness" if witness is None else "witness",
+                     stats.nodes - nodes0, time.monotonic() - started,
+                     lower, upper)
+        if not exact:
+            break
 
     result = _finalize(sys, best_cover, best_direction, stats, cfg, exact,
                        upper if exact else lower, 0.0, counter)

@@ -29,7 +29,7 @@ from .oracle import oracle_depth_2d, oracle_depth_general
 
 __all__ = ["read_points", "run", "main", "PointFileError"]
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 log = logging.getLogger("tukeydepth")
 
@@ -129,6 +129,9 @@ def _result_payload(result: DepthResult) -> dict:
             "lps": result.stats.lps,
             "dual_pivots": result.stats.dual_pivots,
             "primal_pivots": result.stats.primal_pivots,
+            "cold_starts": result.stats.cold_starts,
+            "refactorized_starts": result.stats.refactorized_starts,
+            "derived_starts": result.stats.derived_starts,
             "cuts": result.stats.cuts,
             "wall_time": result.stats.wall_time,
             "heuristic_weight": result.stats.heuristic_weight,

@@ -10,7 +10,8 @@ in its LP dual form
 with one column per row of the system and only d equality rows; removing
 row j is the bound y_j <= 0.  Every basis of the dual form stays dual
 feasible under such bound changes, so an elastic LP that removes more rows
-than an earlier one starts from that one's final basis.  From the optimum,
+than an earlier one derives from that one's final kernel state (see
+``simplex``).  From the optimum,
 x is the negated duals of the d equality rows, e_j = max(0, 1 - <a_j, x>)
 on the active rows, the row sensitivities (the row form's duals) are y, and
 the optimal objective (SINF) is 1.y.  SINF, the count of e_j above the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InfeasibleSystem
-from .simplex import INF, LpCounter, LpModel, Sense, solve_lp
+from .simplex import INF, LpCounter, LpModel, LpSolution, Sense, solve_lp
 
 __all__ = ["ElasticSolution", "solve_elastic", "chinneck_cover", "VIOL_TOL"]
 
@@ -37,9 +38,10 @@ class ElasticSolution:
     """Result of one elastic solve over the rows outside ``removed``.
 
     ``violations`` and ``sensitivities`` are full-length row vectors with
-    zeros in removed positions, so indices line up with the system.
-    ``basis_status`` is the final basis of the dual-form LP (None when no
-    row is active), the start of a later solve that removes more rows.
+    zeros in removed positions, so indices line up with the system.  ``lp``
+    is the solution of the dual-form LP (None when no row is active), the
+    start of a later solve that removes more rows; its kernel has only d
+    rows.
     """
 
     sinf: float
@@ -48,7 +50,7 @@ class ElasticSolution:
     sensitivities: np.ndarray
     x: np.ndarray
     removed: frozenset
-    basis_status: np.ndarray | None = None
+    lp: LpSolution | None = None
 
     @property
     def feasible(self) -> bool:
@@ -69,11 +71,13 @@ def _elastic_model(sys: InfeasibleSystem, removed) -> LpModel:
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                   viol_tol: float = VIOL_TOL,
                   counter: LpCounter | None = None,
-                  start: np.ndarray | None = None) -> ElasticSolution:
+                  start: LpSolution | np.ndarray | None = None
+                  ) -> ElasticSolution:
     """Minimize sum(w_j * e_j) over <a_j, x> + e_j >= 1 for the rows not in
     ``removed``; x is unrestricted.  Solved in the dual form (see the
-    module docstring), from ``start`` when given: the ``basis_status`` of
-    an earlier solve whose removed rows are a subset of these.
+    module docstring), from ``start`` when given: the ``lp`` (or its
+    ``basis_status``) of an earlier solve whose removed rows are a subset
+    of these.
 
     The minimum exists (the objective is polyhedral and bounded below by
     zero), and it is zero exactly when the remaining strict system admits a
@@ -96,7 +100,7 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
     sinf = -float(sol.objective_value) if ninf else 0.0
     sensitivities = np.where(active, sol.primal, 0.0)
     return ElasticSolution(sinf, ninf, violations, sensitivities, x, removed,
-                           sol.basis_status)
+                           sol)
 
 
 def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
@@ -123,7 +127,7 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
     Solves the elastic program, tries deleting each candidate row, and
     permanently deletes the one whose removal gives the smallest SINF; that
     winning trial is the elastic solution of the next step.  Every trial
-    starts from the basis of the current solution.  Stops when nothing is
+    derives from the current solution's LP.  Stops when nothing is
     violated; a single violated row is taken directly into the cover since
     it alone blocks feasibility of the current system.
 
@@ -160,7 +164,7 @@ def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
         best_resolve: ElasticSolution | None = None
         for j in candidates:
             trial = solve_elastic(sys, cover | {j}, viol_tol, counter,
-                                  start=sol.basis_status)
+                                  start=sol.lp)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)

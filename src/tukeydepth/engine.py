@@ -22,8 +22,8 @@ import numpy as np
 from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
 from .elastic import VIOL_TOL, ElasticSolution, chinneck_cover, solve_elastic
 from .model import InfeasibleSystem, ParamBounds
-from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
-                      solve_lp)
+from .simplex import (COLD, DERIVED, INF, REFACTORIZED, LpCounter, LpModel,
+                      LpSolution, LpStatus, Sense, solve_lp)
 
 __all__ = [
     "MipForm",
@@ -47,6 +47,8 @@ __all__ = [
 INT_TOL = 1e-9
 # A guess-form margin must exceed EPS_POS to count as strictly positive.
 EPS_POS = 1e-7
+# Seconds between two progress lines of a search logged at INFO.
+LOG_EVERY = 1.0
 
 
 class MipForm(Enum):
@@ -93,46 +95,52 @@ class MipModel:
         return self.dim + self.n_binaries + (1 if self.has_eps_var else 0)
 
     def relaxation(self, fixed1=frozenset(), fixed0=frozenset(),
-                   cuts: tuple[Cut, ...] = ()) -> LpModel:
-        """LP relaxation with binaries in [0,1] and the given fixings/cuts."""
+                   cuts: tuple[Cut, ...] = (),
+                   base: LpModel | None = None) -> LpModel:
+        """LP relaxation with binaries in [0,1] and the given fixings/cuts.
+
+        ``base`` is an earlier relaxation of a model over the same system,
+        form and bounds (the guess may differ) whose cuts are a prefix of
+        ``cuts``: the result then shares its rows and appends only the cut
+        rows it lacks."""
 
         d, n = self.dim, self.n_binaries
         ncol = self.n_columns
         M = self.bounds.bigM
-        w = self.sys.weights.astype(float)
+        guess_form = self.form is MipForm.GUESS
 
-        objective = np.zeros(ncol)
-        rows = []
-        senses = []
-        rhs = []
-
-        body = np.zeros((n, ncol))
-        body[:, :d] = self.sys.rows
-        body[np.arange(n), d + np.arange(n)] = M
-        if self.form is MipForm.DEPTH:
-            objective[d:d + n] = w
-            rows.append(body)
-            senses += [Sense.GE] * n
-            rhs += [self.bounds.epsilon] * n
+        if base is None:
+            w = self.sys.weights.astype(float)
+            objective = np.zeros(ncol)
+            rows = np.zeros((n + guess_form, ncol))
+            rows[:n, :d] = self.sys.rows
+            rows[np.arange(n), d + np.arange(n)] = M
+            senses = [Sense.GE] * n
+            if guess_form:
+                objective[-1] = -1.0
+                rows[:n, -1] = -1.0
+                rows[n, d:d + n] = w
+                senses.append(Sense.LE)
+                rhs = np.zeros(n + 1)
+                rhs[n] = self.guess
+            else:
+                objective[d:d + n] = w
+                rhs = np.full(n, self.bounds.epsilon)
         else:
-            objective[-1] = -1.0
-            body[:, -1] = -1.0
-            rows.append(body)
-            senses += [Sense.GE] * n
-            rhs += [0.0] * n
-            card = np.zeros((1, ncol))
-            card[0, d:d + n] = w
-            rows.append(card)
-            senses.append(Sense.LE)
-            rhs.append(float(self.guess))
+            objective, rows = base.objective, base.row_coeffs
+            senses, rhs = base.senses, base.rhs
+            if guess_form and rhs[n] != self.guess:
+                rhs = rhs.copy()
+                rhs[n] = self.guess
 
-        if cuts:
-            crows = np.zeros((len(cuts), ncol))
-            crows[[k for k, cut in enumerate(cuts) for _ in cut.members],
-                  [d + j for cut in cuts for j in cut.members]] = 1.0
-            rows.append(crows)
-            senses += [Sense.GE] * len(cuts)
-            rhs += [1.0] * len(cuts)
+        new = cuts[rows.shape[0] - n - guess_form:]
+        if new:
+            crows = np.zeros((len(new), ncol))
+            crows[[k for k, cut in enumerate(new) for _ in cut.members],
+                  [d + j for cut in new for j in cut.members]] = 1.0
+            rows = np.vstack([rows, crows])
+            senses = senses + [Sense.GE] * len(new)
+            rhs = np.concatenate([rhs, np.ones(len(new))])
 
         lower = np.zeros(ncol)
         upper = np.ones(ncol)
@@ -146,20 +154,23 @@ class MipModel:
             lower[-1] = 0.0
             upper[-1] = M
 
-        return LpModel(objective, np.vstack(rows), senses, np.array(rhs),
-                       lower, upper)
+        return LpModel(objective, rows, senses, rhs, lower, upper)
 
 
 @dataclass
 class Node:
     """One subproblem: binaries pinned to 1 (removed rows) or 0 (kept rows).
 
-    ``basis_status`` is the parent's final LP basis, where this node's first
-    LP starts (None at the root).  ``elastic`` is the latest greedy-branching
+    ``basis_status`` is the parent's final LP basis (None at the root).  A
+    node popped while its parent's final LP is the engine's live one (the
+    depth-first dive) derives its first LP from that LP's kernel state
+    instead; any other starts from these statuses.  Open nodes keep
+    nothing else of an LP.  ``elastic`` is the latest greedy-branching
     elastic solution on the path to this node: its own once branching ran
     here, else its parent's (at the root, the heuristic's first, over all
     rows).  Its removed rows are a subset of ``fixed1``, so its basis is a
-    valid start for this node's elastic LP.
+    valid start for this node's elastic LP, and its kernel (d rows) rides
+    along.
     """
 
     fixed1: frozenset = frozenset()
@@ -196,12 +207,17 @@ class NodeOutcome:
 @dataclass
 class SolveStats:
     """Search counters; ``dual_pivots`` and ``primal_pivots`` total the
-    simplex pivots of every LP the solve ran (see ``LpSolution``)."""
+    simplex pivots of every LP the solve ran, and ``cold_starts``,
+    ``refactorized_starts`` and ``derived_starts`` count its LPs by how
+    they opened (see ``LpSolution.start_kind``)."""
 
     nodes: int = 0
     lps: int = 0
     dual_pivots: int = 0
     primal_pivots: int = 0
+    cold_starts: int = 0
+    refactorized_starts: int = 0
+    derived_starts: int = 0
     cuts: int = 0
     wall_time: float = 0.0
     heuristic_weight: int | None = None
@@ -254,6 +270,16 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 # Free-standing operations (also used directly by tests).
 # ---------------------------------------------------------------------------
+
+
+def _info_log(name: str):
+    """The logger ``name`` if it emits INFO lines, else None.  logging is
+    imported here, on first use, so that importing the package does not
+    load it."""
+
+    import logging
+    log = logging.getLogger(name)
+    return log if log.isEnabledFor(logging.INFO) else None
 
 
 def _int_floor_bound(objective: float) -> int:
@@ -352,13 +378,13 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
 
     greedy: one elastic solve on the rows not yet removed, kept on the node
     as ``node.elastic``.  The inherited solution is reused when it removed
-    the same rows and is the warm start otherwise, since removing a row only
+    the same rows and is derived from otherwise, since removing a row only
     bounds its dual-form column to 0 (see ``elastic``).  The fractional row
     with the largest estimated infeasibility drop (violation x |sensitivity|
     for violated rows, |sensitivity| alone for satisfied ones) wins,
     violated rows first.  strong: for the most fractional
-    candidates, solve both child relaxations, each warm-started from the
-    node LP's basis, and keep the variable whose worse child bound is best.
+    candidates, solve both child relaxations, each derived from the node
+    LP, and keep the variable whose worse child bound is best.
     All ties go to the lowest row index.
     """
 
@@ -376,7 +402,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         if parent is None or parent.removed != node.fixed1:
             node.elastic = solve_elastic(
                 mip.sys, node.fixed1, cfg.viol_tol, counter,
-                start=None if parent is None else parent.basis_status)
+                start=None if parent is None else parent.lp)
         el = node.elastic
         violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
         pool = violated if violated else fractional
@@ -401,8 +427,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
             f1 = node.fixed1 | {j} if fix_to_one else node.fixed1
             f0 = node.fixed0 if fix_to_one else node.fixed0 | {j}
             child = solve_lp(mip.relaxation(f1, f0, cuts),
-                             cfg.feas_tol, counter=counter,
-                             start=lp.basis_status)
+                             cfg.feas_tol, counter=counter, start=lp)
             bounds_pair.append(INF if child.status is LpStatus.INFEASIBLE
                                else child.objective_value)
         score = min(bounds_pair)
@@ -448,12 +473,22 @@ class BranchCutEngine:
     the next pop; ``run_depth`` and ``run_guess`` read its result.
     ``root_elastic`` is the elastic solution over all rows when the caller
     already has one (the heuristic's first): the root's greedy branching
-    reads it instead of solving that LP again."""
+    reads it instead of solving that LP again.
+
+    The engine keeps one node LP alive, with its kernel state: the last
+    node's final LP when it is feasible (``_live``, an (LpModel,
+    LpSolution) pair), from which the next node derives when it is that
+    node's child.  The next node releases it once its own first LP is
+    solved.  The guess form
+    keeps one more, ``root_lp``, the root's final LP once the search has
+    evaluated the root: bisection passes it to the next probe's engine,
+    whose root derives from it."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
                  counter: LpCounter | None = None,
                  stats: SolveStats | None = None,
-                 root_elastic: ElasticSolution | None = None):
+                 root_elastic: ElasticSolution | None = None,
+                 root_lp: tuple[LpModel, LpSolution] | None = None):
         self.mip = mip
         self.cfg = cfg
         self.pool = pool
@@ -461,6 +496,8 @@ class BranchCutEngine:
         self.stats = stats if stats is not None else SolveStats()
         self.budget = _Budget(cfg)
         self.root_elastic = root_elastic
+        self.root_lp = root_lp
+        self._live = root_lp
 
     # -- per-node work ------------------------------------------------------
 
@@ -479,9 +516,14 @@ class BranchCutEngine:
         Cuts keep coming while the objective improves by at least
         ``cut_improve``, the solution stays fractional, and the generator
         still produces something new; infeasibility and bound dominance end
-        the node immediately.  The first LP starts from the parent's final
-        basis and each cut round from the previous round's: the pool only
-        appends, so those LPs' rows are a prefix of the new ones.
+        the node immediately.  The first LP derives from the engine's live
+        LP when the node's start statuses are that LP's (the node is its
+        child, or the root of a later bisection probe) and starts from the
+        statuses otherwise; each cut round derives from the previous
+        round's.  The pool only appends, so the earlier LPs' rows are a
+        prefix of the new ones.  Both hand the earlier kernel state over
+        rather than copy it, unless it is the guess form's root LP.  The
+        node's final LP becomes the live one when it is feasible.
         """
 
         cfg = self.cfg
@@ -491,9 +533,20 @@ class BranchCutEngine:
         rounding = None
         new_cut_count = 0
 
-        lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
-                      cfg.feas_tol, counter=self.counter,
-                      start=node.basis_status)
+        live, self._live = self._live, None
+        if live is not None and node.basis_status is live[1].basis_status:
+            model = mip.relaxation(node.fixed1, node.fixed0, active,
+                                   base=live[0])
+            # Only the guess form's root LP is derived from again.
+            start = live[1] if live is self.root_lp else live[1].handover()
+        else:
+            model = mip.relaxation(node.fixed1, node.fixed0, active)
+            start = node.basis_status
+        # Only ``start`` may keep the earlier kernel state alive, and only
+        # while the first LP derives from it.
+        del live
+        lp = solve_lp(model, cfg.feas_tol, counter=self.counter, start=start)
+        del start
         iteration = 0
         prev_obj = None
         kind = OutcomeKind.FRACTIONAL
@@ -531,9 +584,10 @@ class BranchCutEngine:
 
             iteration += 1
             prev_obj = obj
-            lp = solve_lp(mip.relaxation(node.fixed1, node.fixed0, active),
-                          cfg.feas_tol, counter=self.counter,
-                          start=lp.basis_status)
+            model = mip.relaxation(node.fixed1, node.fixed0, active,
+                                   base=model)
+            lp = solve_lp(model, cfg.feas_tol, counter=self.counter,
+                          start=lp.handover())
 
             if (mip.form is MipForm.DEPTH
                     and node.tree_depth > cfg.rounding_depth
@@ -545,6 +599,8 @@ class BranchCutEngine:
                                          or cand[1] < rounding[1]):
                     rounding = cand
 
+        if lp.kernel is not None:
+            self._live = (model, lp)
         objective = (INF if kind is OutcomeKind.INFEASIBLE
                      else lp.objective_value)
         out = NodeOutcome(kind, objective, lp, iterations=iteration,
@@ -603,20 +659,37 @@ class BranchCutEngine:
         guards against a numerically spurious one.  Returns (cover,
         direction, weight, exact, store), with exact False when a budget
         ended the search and the open nodes left in the store.
+
+        At INFO level the search logs its progress at most every
+        ``LOG_EVERY`` seconds, and once at the end.
         """
 
         sys, d = self.mip.sys, self.mip.dim
         store = _NodeStore(self.cfg.node_selection)
-        store.push(Node(elastic=self.root_elastic))
+        store.push(Node(basis_status=(None if self.root_lp is None
+                                      else self.root_lp[1].basis_status),
+                        elastic=self.root_elastic))
+        log = _info_log(__name__)
+        if log is not None:
+            t0 = time.monotonic()
+            next_log = t0 + LOG_EVERY
+            nodes0, lps0 = self.stats.nodes, self.counter.count
         exact = True
         while len(store):
             if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
                 exact = False
                 break
+            if log is not None and time.monotonic() >= next_log:
+                self._log_progress(log, store, weight, None, t0, nodes0,
+                                   lps0)
+                next_log = time.monotonic() + LOG_EVERY
             node = store.pop(weight)
             if node is None:
                 break
             out = self.bound_and_cut(node, weight)
+            if (node.tree_depth == 0 and self._live is not None
+                    and self.mip.form is MipForm.GUESS):
+                self.root_lp = self._live
             self.stats.nodes += 1
             self.stats.cuts += out.new_cut_count
             if out.rounding is not None and out.rounding[1] < weight:
@@ -644,7 +717,44 @@ class BranchCutEngine:
                                     out.objective, node.tree_depth))
                     break
                 store.push_children(node, out)
+            # The outcome's LP may be the only holder of a kernel state
+            # that the next node no longer needs.
+            del out
+        if log is not None:
+            self._log_progress(log, store, weight, cover, t0, nodes0, lps0,
+                               exact)
         return cover, direction, weight, exact, store
+
+    def _log_progress(self, log, store: "_NodeStore", weight: float, cover,
+                      t0: float, nodes0: int, lps0: int,
+                      exact: bool | None = None) -> None:
+        """One INFO line: nodes and open nodes, the incumbent, the best
+        bound over the open nodes, the gap and LPs per second.  The depth
+        form's bound is the least integer weight an open node can still
+        reach; the guess form's is the largest margin an open node's LP
+        allows, and its incumbent is the witness, once one is found.
+        ``exact`` is None on a progress line and the outcome on the final
+        one."""
+
+        elapsed = time.monotonic() - t0
+        rate = (self.counter.count - lps0) / elapsed if elapsed > 0 else 0.0
+        bounds = store.bounds()
+        if self.mip.form is MipForm.DEPTH:
+            label = "search"
+            bound = min([weight] + [_int_floor_bound(b) for b in bounds])
+            incumbent, best, gap = weight, bound, weight - bound
+        else:
+            label = f"guess {self.mip.guess}"
+            incumbent = "witness" if cover is not None else "none"
+            best = (f"margin {-min(bounds):.3g}" if bounds
+                    else "none open")
+            gap = "-"
+        state = ("" if exact is None
+                 else ", done" if exact else ", budget spent")
+        log.info("%s: %d nodes, %d open, incumbent %s, best bound %s, "
+                 "gap %s, %.0f LPs/s, %.1f s%s", label,
+                 self.stats.nodes - nodes0, len(store), incumbent, best, gap,
+                 rate, elapsed, state)
 
     def run_depth(self, incumbent_cover: frozenset, incumbent_direction,
                   incumbent_weight: int):
@@ -695,9 +805,11 @@ class _NodeStore:
     def push_children(self, node: Node, out: NodeOutcome) -> None:
         """Apply the node's reduced-cost fixings and push both children, the
         removed-row child last so that depth-first search dives on it.  Both
-        start from the node's final basis: fixings change bounds only, so it
-        stays dual feasible.  Both inherit the node's elastic solution,
-        whose removed rows their ``fixed1`` only extends."""
+        carry the node's final basis statuses, and the child popped next
+        derives from the node's final LP instead: fixings change bounds
+        only, so either start stays dual feasible.  Both inherit the node's
+        elastic solution, whose removed rows their ``fixed1`` only
+        extends."""
 
         base = Node(node.fixed1 | out.rc_fix1, node.fixed0 | out.rc_fix0,
                     node.lower_bound, node.tree_depth)
@@ -756,6 +868,9 @@ def _finalize(sys: InfeasibleSystem, cover, direction, stats: SolveStats,
     stats.lps = counter.count
     stats.dual_pivots = counter.dual_pivots
     stats.primal_pivots = counter.primal_pivots
+    stats.cold_starts = counter.starts[COLD]
+    stats.refactorized_starts = counter.starts[REFACTORIZED]
+    stats.derived_starts = counter.starts[DERIVED]
     weight = sys.weight_of(cover)
     return DepthResult(depth=weight + sys.zero_offset,
                        cover=tuple(sorted(int(j) for j in cover)),

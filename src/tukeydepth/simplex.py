@@ -1,28 +1,40 @@
 """Dense bounded-variable revised simplex solver.
 
-A solve starts from the basis status vector of an earlier solve when the
-caller passes one (``start``) and it passes four checks: exactly one basic
-column per row, a finite bound under every column nonbasic at a bound, a
-nonsingular basis matrix, and reduced costs of the true cost that are dual
-feasible.  Otherwise it starts from the all-slack basis.  The earlier LP's
-rows must be a prefix of this one's; the appended rows open with their
-slacks basic, which leaves the reduced costs unchanged.  A bounded dual
-simplex drives the start to primal feasibility (or proves infeasibility with
-a Farkas ray), then the primal simplex finishes with the true cost and
-detects unboundedness.
+A solve opens in one of three ways.  Given the whole optimal solution of an
+earlier solve (``start=earlier``), over the same structural columns and
+cost, whose rows are a prefix of this model's rows, it derives: it reuses
+that solve's live kernel state, the stacked matrix with the new rows
+appended, the basis inverse bordered for them, the basic values moved by the
+changed bounds and right-hand sides, and the refactor counter, and inverts
+nothing.  It copies that state, unless the earlier solution was handed over
+(``LpSolution.handover``), in which case it takes it.  Given an earlier
+basis status vector, or a solution it cannot derive from, it rebuilds the
+stacked matrix and refactorizes that basis.  Either start must pass two
+checks, a finite bound under every column nonbasic at a bound and reduced
+costs of the true cost that are dual feasible (a derived start re-checks
+only the columns whose bounds changed, since every other one keeps what the
+earlier optimum established), and the status path also needs exactly one
+basic column per row and a nonsingular basis matrix; otherwise the solve
+starts cold, from the all-slack basis.  Appended rows open with their slacks
+basic, which leaves the reduced costs unchanged.  A bounded dual simplex
+drives the start to primal feasibility (or proves infeasibility with a
+Farkas ray), then the primal simplex finishes with the true cost and detects
+unboundedness.
 
 Every LP this package builds is dual feasible at the slack basis, and the
 search engine only passes starts that stay dual feasible: the parent node's
-final basis (a branching or reduced-cost fixing changes bounds only), the
-previous cut round's basis (cuts are appended rows), the node LP's basis
-for strong-branching children, and an elastic LP's basis for one that
-removes more rows (a bound change too).  So for those LPs the primal finish
-only prices once.  Pricing is by largest violation (dual) and Dantzig
-(primal) with a Bland's-rule fallback after a degenerate-iteration budget;
-the explicit basis inverse is refactorized on a fixed pivot cadence, and
-ties go to the lowest index everywhere, so identical inputs (start included)
-give identical output on a fixed BLAS thread configuration (the thread count
-can change the rounding of the dense products).
+final LP (a branching or reduced-cost fixing changes bounds only), the
+previous cut round's (cuts are appended rows), the node LP for
+strong-branching children, the previous bisection probe's root LP (its cut
+pool only grows and only the cardinality row's right-hand side changes),
+and an elastic LP for one that removes more rows (a bound change too).  So
+for those LPs the primal finish only prices once.  Pricing is by largest
+violation (dual) and Dantzig (primal) with a Bland's-rule fallback after a
+degenerate-iteration budget; the explicit basis inverse is refactorized
+every ``_REFACTOR_EVERY`` pivots, counted along a chain of derived solves,
+and ties go to the lowest index everywhere, so identical inputs (the start
+included) give identical output on a fixed BLAS thread configuration (the
+thread count can change the rounding of the dense products).
 
 The dual ratio test flips bounds (the long-step or bound-flipping ratio
 test; Maros, Computational Techniques of the Simplex Method, 2003): a boxed
@@ -46,7 +58,7 @@ kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -59,6 +71,9 @@ __all__ = [
     "LpNumericsError",
     "LpCounter",
     "solve_lp",
+    "COLD",
+    "REFACTORIZED",
+    "DERIVED",
 ]
 
 INF = float("inf")
@@ -78,6 +93,15 @@ _SINGULAR_PIVOT = 1e-8
 # Entries of the entering column at or below this leave their row of the
 # inverse untouched in the update.
 _UPDATE_DROP = 1e-14
+# The dual pass's entering sign per status code: +1 at the lower bound, -1
+# at the upper bound, 0 for free (tracked apart) and basic columns.
+_ENTRY_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
+
+# How a solve opened; see ``LpSolution.start_kind``.
+COLD = "cold"
+REFACTORIZED = "refactorized"
+DERIVED = "derived"
+START_KINDS = (COLD, REFACTORIZED, DERIVED)
 
 
 class Sense(str, Enum):
@@ -120,7 +144,7 @@ class LpModel:
             raise ValueError("one sense per row required")
         self.lower = np.asarray(self.lower, dtype=float).reshape(n)
         self.upper = np.asarray(self.upper, dtype=float).reshape(n)
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower bound above upper bound")
 
     @property
@@ -136,10 +160,15 @@ class LpModel:
 class LpSolution:
     """``basis_status`` holds the final status of every column of
     [structural | slack] (``_AT_LOWER``, ``_AT_UPPER``, ``_FREE`` or
-    ``_BASIC``), the ``start`` a later solve takes.  ``dual_pivots`` counts
-    basis changes of the dual pass and ``dual_flips`` the bound flips of its
-    ratio test; ``primal_pivots`` counts the basis changes and bound flips
-    of the primal finish."""
+    ``_BASIC``), the statuses a later solve can start from.  ``kernel`` is
+    the live state of the solve that found an optimum (None otherwise),
+    which a later solve given this whole solution as its start derives
+    from.  ``start_kind`` says how this solve opened: ``COLD`` (the slack
+    basis), ``REFACTORIZED`` (from start statuses, inverting their basis)
+    or ``DERIVED`` (from an earlier kernel).  ``dual_pivots`` counts basis
+    changes of the dual pass and ``dual_flips`` the bound flips of its ratio
+    test; ``primal_pivots`` counts the basis changes and bound flips of the
+    primal finish."""
 
     status: LpStatus
     primal: np.ndarray
@@ -150,32 +179,50 @@ class LpSolution:
     dual_pivots: int = 0
     dual_flips: int = 0
     primal_pivots: int = 0
+    start_kind: str = COLD
+    kernel: "_Simplex | None" = field(default=None, repr=False,
+                                      compare=False)
+
+    def handover(self) -> LpSolution:
+        """This solution as a start whose kernel state the next solve takes
+        over instead of copying, for an earlier LP that only one later solve
+        derives from.  Only one copy of the state is then ever alive; once
+        taken, this solution can no longer be derived from."""
+
+        if self.kernel is not None:
+            self.kernel.handed_over = True
+        return self
 
 
 class LpCounter:
-    """Shared counter so callers can report how many LPs a pipeline solved
-    and how many pivots they took."""
+    """Shared counter so callers can report how many LPs a pipeline solved,
+    how each one started and how many pivots they took."""
 
     def __init__(self):
         self.count = 0
         self.dual_pivots = 0
         self.primal_pivots = 0
+        self.starts = dict.fromkeys(START_KINDS, 0)
 
     def record(self, sol: LpSolution) -> None:
         self.count += 1
         self.dual_pivots += sol.dual_pivots
         self.primal_pivots += sol.primal_pivots
+        self.starts[sol.start_kind] += 1
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
              opt_tol: float = 1e-9, counter: LpCounter | None = None,
-             start: np.ndarray | None = None) -> LpSolution:
+             start: LpSolution | np.ndarray | None = None) -> LpSolution:
     """Solve the LP; status is always one of optimal/infeasible/unbounded.
 
-    ``start`` is the ``basis_status`` of an earlier solve over the same
-    structural columns whose rows are a prefix of this model's rows.  A start
-    that fails the checks of the module docstring is ignored, so the output
-    is then exactly that of a solve without it.
+    ``start`` is an earlier solve over the same structural columns whose
+    rows are a prefix of this model's rows: either its ``basis_status`` or
+    the whole ``LpSolution``.  A whole optimal solution whose cost and rows
+    match is derived from (see the module docstring); otherwise its
+    statuses are the start.  A start that fails the checks of the module
+    docstring is ignored, so the output is then exactly that of a solve
+    without it.
 
     On infeasibility the objective value is +inf and the returned duals are
     a Farkas ray, the blocked row of the basis inverse; for pure >=-row
@@ -188,6 +235,15 @@ def solve_lp(model: LpModel, feas_tol: float = 1e-9,
     return sol
 
 
+def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the slacks of rows with these senses: [0, inf) for <=,
+    (-inf, 0] for >= and [0, 0] for =."""
+
+    ge = np.array([s is Sense.GE for s in senses], dtype=bool)
+    eq = np.array([s is Sense.EQ for s in senses], dtype=bool)
+    return np.where(ge, -INF, 0.0), np.where(ge | eq, 0.0, INF)
+
+
 class _Simplex:
     """Working state for one solve.
 
@@ -197,28 +253,40 @@ class _Simplex:
     """
 
     def __init__(self, model: LpModel, feas_tol: float, opt_tol: float,
-                 start: np.ndarray | None = None):
+                 start: LpSolution | np.ndarray | None = None):
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
+        self.flips = 0
+        self.handed_over = False
+        if isinstance(start, LpSolution):
+            if self._derive(start, model):
+                self.start_kind = DERIVED
+                return
+            start = start.basis_status
+        self._stack(model)
+        if start is not None and self._warm_start(np.asarray(start)):
+            self.start_kind = REFACTORIZED
+        else:
+            self._slack_start(model)
+            self.start_kind = COLD
+
+    def _stack(self, model: LpModel):
+        """The stacked matrix [A | I], the bounds of every column and the
+        cost, built from the model alone."""
 
         n, m = model.columns, model.n_rows
         self.n_struct = n
         self.m = m
-
+        self.senses = model.senses
         self.A = np.hstack([model.row_coeffs, np.eye(m)])
-        ge = np.array([s is Sense.GE for s in model.senses], dtype=bool)
-        eq = np.array([s is Sense.EQ for s in model.senses], dtype=bool)
-        self.lower = np.concatenate([model.lower, np.where(ge, -INF, 0.0)])
-        self.upper = np.concatenate([model.upper,
-                                     np.where(ge | eq, 0.0, INF)])
+        slack_lo, slack_up = _slack_bounds(model.senses)
+        self.lower = np.concatenate([model.lower, slack_lo])
+        self.upper = np.concatenate([model.upper, slack_up])
         self.b = model.rhs.astype(float).copy()
         self.cost = np.concatenate([model.objective, np.zeros(m)])
         self.pivots_since_refactor = 0
-        self.flips = 0
         # Fixed columns (equality slacks, pinned binaries) never enter.
         self.movable = self.upper > self.lower
-        if start is None or not self._warm_start(np.asarray(start)):
-            self._slack_start(model)
 
     def _slack_start(self, model: LpModel):
         """All slacks basic.  Each structural opens nonbasic at the bound its
@@ -265,10 +333,10 @@ class _Simplex:
         at_up = status == _AT_UPPER
         free = status == _FREE
         if (np.count_nonzero(basic) != m
-                or not np.all(basic | at_lo | at_up | free)
-                or np.any(at_lo & (self.lower == -INF))
-                or np.any(at_up & (self.upper == INF))
-                or np.any(free & ((self.lower > -INF) | (self.upper < INF)))):
+                or not (basic | at_lo | at_up | free).all()
+                or (at_lo & (self.lower == -INF)).any()
+                or (at_up & (self.upper == INF)).any()
+                or (free & ((self.lower > -INF) | (self.upper < INF))).any()):
             return False
 
         self.status = status
@@ -287,6 +355,110 @@ class _Simplex:
             return False
         self.dual_cost = self.cost
         self.dual_rc = d
+        return True
+
+    def _derive(self, earlier: LpSolution, model: LpModel) -> bool:
+        """Open at the final state of the kernel that solved ``earlier``,
+        for a model with the same structural columns and cost whose first
+        rows are ``earlier``'s rows; only structural bounds, right-hand
+        sides and appended rows may differ.  Nothing is re-inverted: the
+        appended rows open with their slacks basic, which borders the
+        inverse as [[B^-1, 0], [-A_new[:, basis] B^-1, I]] (Maros 2003), and
+        the basic values move by B^-1 times the change of b - N x_N.  The
+        refactor counter carries over.  The state is copied, unless
+        ``earlier`` was handed over: then it is taken, and ``earlier`` loses
+        its kernel.
+
+        Only the columns whose bounds changed face the start checks again:
+        every other column keeps its bounds, status and reduced cost, which
+        the earlier optimum left dual feasible (for a tolerance no tighter
+        than this solve's).  Returns False, setting nothing, when there is
+        no kernel, the models do not match, or a changed column is nonbasic
+        at an infinite bound or has a reduced cost of the wrong sign."""
+
+        k = earlier.kernel
+        if k is None or self.opt_tol < k.opt_tol:
+            return False
+        n, m0, m = k.n_struct, k.m, model.n_rows
+        if (model.columns != n or m < m0 or model.senses[:m0] != k.senses
+                or not (model.objective == k.cost[:n]).all()
+                or not (model.row_coeffs[:m0] == k.A[:, :n]).all()):
+            return False
+
+        lower = np.concatenate([model.lower, k.lower[n:]])
+        upper = np.concatenate([model.upper, k.upper[n:]])
+        rc = k.rc
+        tol = self.opt_tol
+        moves = []
+        changed = ((model.lower != k.lower[:n])
+                   | (model.upper != k.upper[:n])).nonzero()[0]
+        for j in changed.tolist():
+            s = k.status[j]
+            if s == _BASIC:
+                continue
+            lo, up = lower[j], upper[j]
+            if s == _AT_LOWER:
+                if lo == -INF or (up > lo and rc[j] < -tol):
+                    return False
+                moves.append((j, lo))
+            elif s == _AT_UPPER:
+                if up == INF or (up > lo and rc[j] > tol):
+                    return False
+                moves.append((j, up))
+            else:
+                # A free column that gained a finite bound.
+                return False
+
+        take = k.handed_over
+        if take:
+            earlier.kernel = None
+        own = (lambda a: a) if take else np.copy
+        status, values, basis = own(k.status), own(k.values), own(k.basis)
+        # The appended rows' duals are 0, so the earlier reduced costs hold.
+        d = own(rc)
+        shift = model.rhs[:m0] - k.b
+        for j, bound in moves:
+            shift -= (bound - values[j]) * k.A[:, j]
+            values[j] = bound
+        if shift.any():
+            values[basis] += k.binv @ shift
+
+        extra = m - m0
+        if extra:
+            rows = model.row_coeffs[m0:]
+            slack_lo, slack_up = _slack_bounds(model.senses[m0:])
+            lower = np.concatenate([lower, slack_lo])
+            upper = np.concatenate([upper, slack_up])
+            status = np.concatenate([status, np.full(extra, _BASIC, np.int8)])
+            values = np.concatenate([values,
+                                     model.rhs[m0:] - rows @ values[:n]])
+            d = np.concatenate([d, np.zeros(extra)])
+            new = np.arange(m0, m)
+            A = np.zeros((m, n + m))
+            A[:m0, :n + m0] = k.A
+            A[m0:, :n] = rows
+            A[new, n + new] = 1.0
+            if take:
+                # Free each taken array once copied, so that no more than
+                # three of the large ones are alive at a time.
+                k.A = None
+            binv = np.zeros((m, m))
+            binv[:m0, :m0] = k.binv
+            binv[m0:, :m0] = -(A[m0:, basis] @ k.binv)
+            binv[new, new] = 1.0
+            basis = np.concatenate([basis, n + new])
+            cost = np.concatenate([k.cost, np.zeros(extra)])
+        else:
+            A, binv, cost = k.A, own(k.binv), k.cost
+
+        self.n_struct, self.m, self.senses = n, m, model.senses
+        self.A, self.b, self.cost = A, model.rhs, cost
+        self.lower, self.upper = lower, upper
+        self.movable = upper > lower
+        self.status, self.values = status, values
+        self.basis, self.binv = basis, binv
+        self.pivots_since_refactor = k.pivots_since_refactor
+        self.dual_cost, self.dual_rc = cost, d
         return True
 
     # -- linear algebra helpers -------------------------------------------
@@ -367,9 +539,7 @@ class _Simplex:
         xb = values[basis]
         lb = self.lower[basis]
         ub = self.upper[basis]
-        sgn = np.zeros(status.size)
-        sgn[self.movable & (status == _AT_LOWER)] = 1.0
-        sgn[self.movable & (status == _AT_UPPER)] = -1.0
+        sgn = np.where(self.movable, _ENTRY_SIGN[status], 0.0)
         free = status == _FREE
         has_free = bool(free.any())
         span = self.upper - self.lower
@@ -488,9 +658,10 @@ class _Simplex:
                 degenerate_run = 0
                 bland = False
 
-    def _iterate(self, cost: np.ndarray) -> tuple[str, int]:
+    def _iterate(self, cost: np.ndarray):
         """Primal simplex from a primal feasible basis.  Returns
-        ("optimal" | "unbounded", pivots), bound flips counted as pivots."""
+        ("optimal" | "unbounded", pivots, y, rc), bound flips counted as
+        pivots, with the duals and reduced costs of the final basis."""
 
         degenerate_run = 0
         bland = False
@@ -508,7 +679,7 @@ class _Simplex:
             rc = cost - y @ self.A if self.m else cost.copy()
             entering = self._price(rc, bland)
             if entering < 0:
-                return "optimal", iterations - 1
+                return "optimal", iterations - 1, y, rc
 
             # Direction: +1 increases the entering variable, -1 decreases it.
             if self.status[entering] == _AT_UPPER:
@@ -550,7 +721,7 @@ class _Simplex:
             flip = rng if (rng != INF and self.status[entering] != _FREE) else INF
 
             if limit_relaxed == INF and flip == INF:
-                return "unbounded", iterations - 1
+                return "unbounded", iterations - 1, y, rc
 
             if limit_relaxed == INF:
                 step_bound = INF
@@ -645,11 +816,13 @@ class _Simplex:
                 basis_status=self.status.copy(),
                 dual_pivots=dual_pivots,
                 dual_flips=self.flips,
+                start_kind=self.start_kind,
             )
 
-        outcome, primal_pivots = self._iterate(self.cost)
-        y = self._duals(self.cost)
-        rc = self.cost[:n] - y @ self.A[:, :n]
+        # The final reduced costs over every column stay with the kernel for
+        # a later derived start.
+        outcome, primal_pivots, y, self.rc = self._iterate(self.cost)
+        rc = self.rc[:n].copy()
         primal = self.values[:n].copy()
         unbounded = outcome == "unbounded"
         obj = -INF if unbounded else float(self.cost[:n] @ primal)
@@ -663,4 +836,6 @@ class _Simplex:
             dual_pivots=dual_pivots,
             dual_flips=self.flips,
             primal_pivots=primal_pivots,
+            start_kind=self.start_kind,
+            kernel=None if unbounded else self,
         )

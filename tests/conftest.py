@@ -40,17 +40,28 @@ def outside_hull_system(seed: int, n: int, d: int):
 
 
 def count_warm_starts(monkeypatch) -> list[bool]:
-    """Record whether each solve given a start accepted it."""
+    """Record whether each solve given a start accepted it.  A start given
+    as a whole earlier solution is accepted when the kernel derives from
+    it; when it cannot, the solve falls back to that solution's statuses,
+    and whether those hold is what gets recorded."""
 
     accepted = []
     warm_start = simplex._Simplex._warm_start
+    derive = simplex._Simplex._derive
 
-    def spy(self, start):
+    def spy_statuses(self, start):
         ok = warm_start(self, start)
         accepted.append(ok)
         return ok
 
-    monkeypatch.setattr(simplex._Simplex, "_warm_start", spy)
+    def spy_derive(self, earlier, model):
+        ok = derive(self, earlier, model)
+        if ok:
+            accepted.append(True)
+        return ok
+
+    monkeypatch.setattr(simplex._Simplex, "_warm_start", spy_statuses)
+    monkeypatch.setattr(simplex._Simplex, "_derive", spy_derive)
     return accepted
 
 

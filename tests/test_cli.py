@@ -113,7 +113,7 @@ def test_json_output(square_file, tmp_path):
               "--json", str(out)])
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["depth"] == 2
     assert payload["certificate"] == "verified"
     assert len(payload["direction"]) == 2
@@ -123,6 +123,30 @@ def test_json_output(square_file, tmp_path):
     stats = payload["stats"]
     assert stats["dual_pivots"] > 0
     assert stats["primal_pivots"] == 0
+
+
+def test_json_counts_lps_by_start(tmp_path, capsys):
+    """Schema 3: the stats block counts the LPs of a solve by how they
+    started, and the three counts add up to the LP count.  A cloud deep
+    enough to run a tree has derived starts (cut rounds, dives, Chinneck
+    trials) and cold ones (the first elastic LP, the cut LPs)."""
+
+    rng = np.random.default_rng(3)
+    points = tmp_path / "cloud.txt"
+    rows = rng.normal(size=(16, 2)).tolist()
+    points.write_text("16 2\n" + "\n".join(f"{x!r} {y!r}" for x, y in rows))
+    for command in ("depth", "binsearch"):
+        rc = run([command, str(points), "--query-coords", "0", "0",
+                  "--json", "-"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 3
+        stats = payload["stats"]
+        starts = [stats[k] for k in ("cold_starts", "refactorized_starts",
+                                     "derived_starts")]
+        assert sum(starts) == stats["lps"]
+        assert stats["nodes"] > 0
+        assert stats["cold_starts"] > 0 and stats["derived_starts"] > 0
 
 
 def test_json_stdout(triangle_file, capsys):

@@ -145,7 +145,7 @@ def test_dual_form_matches_row_form(seed, monkeypatch):
         ref_sinf = ref.objective_value if ref_ninf else 0.0
         parent = solve_elastic(sys_, sub)
         cold = solve_elastic(sys_, removed)
-        warm = solve_elastic(sys_, removed, start=parent.basis_status)
+        warm = solve_elastic(sys_, removed, start=parent.lp.basis_status)
         assert accepted[-1]
         for sol in (cold, warm):
             assert sol.removed == removed

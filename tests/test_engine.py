@@ -1,11 +1,15 @@
 import inspect
+import logging
+import re
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth import binsearch, cuts, elastic, engine
+from tukeydepth import binsearch, cuts, elastic, engine, simplex
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import chinneck_cover, solve_elastic
@@ -382,6 +386,101 @@ def test_node_store_order_and_dominance():
     assert popped("best-first", 2) == [1, 3]
     with pytest.raises(ValueError):
         _NodeStore("breadth-first")
+
+
+@pytest.mark.parametrize("select", ["best-first", "depth-first"])
+def test_search_keeps_one_node_lp_state(select, monkeypatch):
+    """Open nodes keep only basis statuses, the engine keeps the last node
+    LP alone, and the cut rounds and the dive hand that LP's kernel state
+    over: whenever a node LP is solved, its kernel is the only node-LP
+    kernel state alive.  The search still derives LPs."""
+
+    sys_, depth, _ = gaussian_system(6954, 30, 2)
+    node_columns = sys_.dim + sys_.n_rows
+    alive = weakref.WeakSet()
+    counts = []
+    solve = simplex._Simplex.solve
+
+    def spy_solve(kernel):
+        if kernel.n_struct == node_columns:
+            alive.add(kernel)
+            counts.append(len(alive))
+        return solve(kernel)
+
+    monkeypatch.setattr(simplex._Simplex, "solve", spy_solve)
+    res = solve_depth(sys_, EngineConfig(node_selection=select))
+    assert res.depth == depth and res.exact
+    assert len(counts) > res.stats.nodes > 10
+    assert max(counts) == 1
+    assert res.stats.derived_starts > 0
+
+
+def test_search_progress_log(caplog, monkeypatch):
+    """At INFO the search logs a progress line at most every LOG_EVERY
+    seconds and a final line (nodes, open nodes, incumbent, best bound, gap
+    and LPs/s), and bisection one line per probe.  The level is read once
+    per search: with INFO off nothing is formatted."""
+
+    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    reads = [0]
+
+    def clock():
+        # Each reading advances a quarter second, so progress lines fall
+        # due several times within one search.
+        reads[0] += 1
+        return 0.25 * reads[0]
+
+    monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=clock))
+    caplog.set_level(logging.INFO, logger="tukeydepth")
+    res = solve_depth(sys_)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "tukeydepth.engine"]
+    final = lines[-1]
+    assert final.startswith(f"search: {res.stats.nodes} nodes, 0 open, "
+                            f"incumbent {depth}, best bound {depth}, gap 0, ")
+    assert " LPs/s, " in final and final.endswith(", done")
+    progress = lines[:-1]
+    assert 0 < len(progress) <= 0.25 * reads[0] / engine.LOG_EVERY
+    stamps = [float(re.search(r"([0-9.]+) s$", line).group(1))
+              for line in progress]
+    assert all(b - a >= engine.LOG_EVERY - 0.1
+               for a, b in zip(stamps, stamps[1:]))
+    for line in progress:
+        assert re.match(r"search: \d+ nodes, \d+ open, incumbent \d+, "
+                        r"best bound \d+, gap \d+, \d+ LPs/s, ", line)
+
+    caplog.clear()
+    res = solve_depth_binary(sys_)
+    probes = [r.getMessage() for r in caplog.records
+              if r.name == "tukeydepth.binsearch"]
+    assert len(probes) == res.stats.guesses > 0
+    for k, (line, guess) in enumerate(zip(probes, res.stats.guess_values)):
+        assert line.startswith(f"probe {k + 1}: guess {guess}, ")
+    finals = [r.getMessage() for r in caplog.records
+              if r.name == "tukeydepth.engine"
+              and r.getMessage().endswith(", done")]
+    assert [line.split(":")[0] for line in finals] == [
+        f"guess {g}" for g in res.stats.guess_values]
+
+    caplog.clear()
+    caplog.set_level(logging.WARNING, logger="tukeydepth")
+    checks = []
+    info_log = engine._info_log
+
+    def spy(name):
+        log = info_log(name)
+        checks.append(log)
+        return log
+
+    monkeypatch.setattr(engine, "_info_log", spy)
+    monkeypatch.setattr(BranchCutEngine, "_log_progress",
+                        lambda *args: pytest.fail("formatted a log line"))
+    res = solve_depth(sys_)
+    assert checks == [None]
+    checks.clear()
+    res = solve_depth_binary(sys_)
+    assert len(checks) == res.stats.guesses
+    assert not caplog.records
 
 
 def test_zero_row_only_system():

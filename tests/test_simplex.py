@@ -7,8 +7,9 @@ from tukeydepth.cuts import bis_cut, generate_cuts
 from tukeydepth.elastic import _elastic_model
 from tukeydepth.engine import MipForm, MipModel, complement_direction
 from tukeydepth.model import ParamBounds
-from tukeydepth.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, INF, LpModel,
-                                 LpStatus, Sense, solve_lp)
+from tukeydepth.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, COLD, DERIVED,
+                                 INF, REFACTORIZED, LpModel, LpStatus, Sense,
+                                 solve_lp)
 
 from conftest import count_warm_starts, gaussian_system
 
@@ -133,6 +134,29 @@ def _resolve_twice():
     a = solve_lp(mip.relaxation(*child), start=start)
     b = solve_lp(mip.relaxation(*child), start=start.copy())
     _assert_identical(a, b)
+
+    # A chain of derived solves, each from the previous solution's kernel:
+    # one more fixing, then one more cut, then another fixing; run twice,
+    # each time from a parent solved afresh.
+    steps = ((frozenset({0, 3}), frozenset({1}), (cut,)),
+             (frozenset({0, 3}), frozenset({1}), (cut, extra)),
+             (frozenset({0, 3}), frozenset({1, 2}), (cut, extra)))
+    chains = []
+    for _ in range(2):
+        chain = [solve_lp(builders[0]())]
+        for step in steps:
+            chain.append(solve_lp(mip.relaxation(*step), start=chain[-1]))
+        assert [s.start_kind for s in chain[1:]] == [DERIVED] * len(steps)
+        chains.append(chain)
+    for a, b in zip(*chains):
+        _assert_identical(a, b)
+    # The state is copied unless handed over: two solves derived from one
+    # earlier solution are identical too.
+    twice = [solve_lp(mip.relaxation(*steps[0]), start=chains[0][0])
+             for _ in range(2)]
+    assert [s.start_kind for s in twice] == [DERIVED] * 2
+    _assert_identical(*twice)
+    _assert_identical(twice[0], chains[0][1])
 
 
 def _check_kkt(model: LpModel, sol, tol=1e-6):
@@ -445,11 +469,19 @@ def _random_cuts(rng, rows: list[int], dim: int, count: int):
                  for k in rng.integers(1, dim + 2, size=count))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_warm_start_after_cuts_and_fixings(seed, monkeypatch):
-    """Re-solve a depth or guess relaxation from its parent's basis after
-    (a) appended cut rows, (b) one more binary fixed to 0 or 1, and (c)
-    both: the start holds, the answer is scipy's and no primal pivot runs."""
+# The statuses form keeps the bare seed as its id.
+@pytest.mark.parametrize("seed, form", [
+    pytest.param(seed, form, id=str(seed) if form == "statuses"
+                 else f"{form}-{seed}")
+    for form in ("statuses", "solution") for seed in range(12)])
+def test_warm_start_after_cuts_and_fixings(seed, form, monkeypatch):
+    """Re-solve a depth or guess relaxation from its parent after (a)
+    appended cut rows, (b) one more binary fixed to 0 or 1, (c) both, and
+    for the guess form (d) appended cut rows under a smaller guess (another
+    right-hand side), given the parent's basis statuses (refactorized) or
+    the parent's whole solution (derived from its kernel, each time from the
+    same one): the start holds, the answer is scipy's and no primal pivot
+    runs."""
 
     rng = np.random.default_rng(7300 + seed)
     sys_, depth, _ = gaussian_system(7300 + seed, int(rng.integers(10, 21)),
@@ -474,16 +506,22 @@ def test_warm_start_after_cuts_and_fixings(seed, monkeypatch):
     more1, more0 = (fix1 | {j}, fix0) if rng.random() < 0.5 else \
         (fix1, fix0 | {j})
     new_cuts = base_cuts + _random_cuts(rng, free, sys_.dim, 3)
-    children = {"cuts": (fix1, fix0, new_cuts),
-                "fixing": (more1, more0, base_cuts),
-                "both": (more1, more0, new_cuts)}
+    children = {"cuts": (mip, (fix1, fix0, new_cuts)),
+                "fixing": (mip, (more1, more0, base_cuts)),
+                "both": (mip, (more1, more0, new_cuts))}
+    if mip.form is MipForm.GUESS:
+        smaller = MipModel(sys_, bounds, MipForm.GUESS, guess=mip.guess - 1)
+        children["guess"] = (smaller, (fix1, fix0, new_cuts))
 
     accepted = count_warm_starts(monkeypatch)
-    for name, child in children.items():
-        model = mip.relaxation(*child)
-        warm = solve_lp(model, start=parent.basis_status)
+    start, kind = ((parent.basis_status, REFACTORIZED) if form == "statuses"
+                   else (parent, DERIVED))
+    for name, (child_mip, child) in children.items():
+        model = child_mip.relaxation(*child)
+        warm = solve_lp(model, start=start)
         ref = _scipy_reference(model)
         assert accepted[-1], name
+        assert warm.start_kind == kind, name
         assert warm.primal_pivots == 0, name
         if ref.status == 2:
             assert warm.status is LpStatus.INFEASIBLE, name
@@ -493,6 +531,51 @@ def test_warm_start_after_cuts_and_fixings(seed, monkeypatch):
         assert warm.objective_value == pytest.approx(ref.fun, abs=1e-7,
                                                      rel=1e-7), name
         _check_kkt(model, warm)
+
+
+def test_derived_chain_refactorizes_on_cadence(monkeypatch):
+    """A chain of solves, each taking over the previous one's kernel state
+    (handed over) after appended cuts and now and then one more binary
+    fixed to 1, carries the refactor counter: once the chain's pivots pass
+    _REFACTOR_EVERY the inverse is refactorized, though no single LP takes
+    that many pivots.  Every LP of the chain matches a cold solve of its
+    model."""
+
+    rng = np.random.default_rng(7400)
+    sys_, _, _ = gaussian_system(7400, 30, 3)
+    n = sys_.n_rows
+    mip = MipModel(sys_, ParamBounds.for_system(sys_))
+    every = simplex._REFACTOR_EVERY
+    refactors = [0]
+    refactorize = simplex._Simplex._refactorize
+
+    def counting(self):
+        refactors[0] += 1
+        refactorize(self)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactorize", counting)
+    fix1, chain_cuts = frozenset(), ()
+    sol = solve_lp(mip.relaxation(fix1, frozenset(), chain_cuts))
+    total, in_chain = sol.dual_pivots, refactors[0]
+    while total <= 2 * every:
+        free = [j for j in range(n) if j not in fix1]
+        chain_cuts += _random_cuts(rng, free, sys_.dim, 2)
+        if rng.random() < 0.3:
+            fix1 |= {int(rng.choice(free))}
+        model = mip.relaxation(fix1, frozenset(), chain_cuts)
+        before = refactors[0]
+        earlier, sol = sol, solve_lp(model, start=sol.handover())
+        in_chain += refactors[0] - before
+        assert earlier.kernel is None
+        assert sol.start_kind == DERIVED
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.primal_pivots == 0 and sol.dual_pivots < every
+        total += sol.dual_pivots
+        cold = solve_lp(model)
+        assert sol.objective_value == pytest.approx(
+            cold.objective_value, abs=1e-9, rel=1e-9)
+        _check_kkt(model, sol)
+    assert in_chain >= total // every >= 2
 
 
 def _unusable_start(kind: str):
@@ -543,6 +626,55 @@ def test_unusable_start_falls_back_to_cold(kind, monkeypatch):
     assert accepted == [False]
     _assert_identical(warm, solve_lp(model))
 
+
+
+def _underivable(kind: str):
+    """An earlier solution and a model the kernel must not derive from."""
+
+    if kind in ("dual_infeasible", "infinite_bound"):
+        # min x1 + x2 over 2 x1 + x2 >= 1 with x1 pinned to 0: x1 ends
+        # nonbasic at its lower bound with reduced cost 1 - 2 = -1.
+        earlier = solve_lp(lp([1, 1], [[2, 1]], [Sense.GE], [1], [0, 0],
+                              [0, 10]))
+        lower, upper = ([0, 0], [10, 10]) if kind == "dual_infeasible" \
+            else ([-INF, 0], [0, 10])
+        return earlier, lp([1, 1], [[2, 1]], [Sense.GE], [1], lower, upper)
+    sys_, _, _ = gaussian_system(7200, 14, 3)
+    cut = bis_cut(sys_, range(sys_.n_rows))
+    mip = MipModel(sys_, ParamBounds.for_system(sys_))
+    earlier = solve_lp(mip.relaxation(frozenset({0}), frozenset({1})))
+    model = mip.relaxation(frozenset({0}), frozenset({1}), (cut,))
+    if kind == "cost":
+        return earlier, LpModel(model.objective * 2.0, model.row_coeffs,
+                                model.senses, model.rhs, model.lower,
+                                model.upper)
+    if kind == "rows":
+        rows = model.row_coeffs.copy()
+        rows[0, 0] += 1e-3
+        return earlier, LpModel(model.objective, rows, model.senses,
+                                model.rhs, model.lower, model.upper)
+    assert kind == "senses"
+    senses = [Sense.LE] + model.senses[1:]
+    return earlier, LpModel(model.objective, model.row_coeffs, senses,
+                            model.rhs, model.lower, model.upper)
+
+
+@pytest.mark.parametrize("kind", ["cost", "rows", "senses",
+                                  "dual_infeasible", "infinite_bound"])
+def test_underivable_start_falls_back(kind):
+    """A whole earlier solution whose model does not match (another cost,
+    another first row or sense), or whose start fails a check once a bound
+    changes, is not derived from: the solve is exactly the one started
+    from the earlier solution's basis statuses."""
+
+    earlier, model = _underivable(kind)
+    assert earlier.status is LpStatus.OPTIMAL and earlier.kernel is not None
+    warm = solve_lp(model, start=earlier)
+    assert warm.start_kind != DERIVED
+    _assert_identical(warm, solve_lp(model, start=earlier.basis_status))
+    if kind in ("dual_infeasible", "infinite_bound"):
+        assert warm.start_kind == COLD
+        _assert_identical(warm, solve_lp(model))
 
 
 def _boxed_lp(rng):
