@@ -42,7 +42,8 @@ def _box_scaled_margin(sys: InfeasibleSystem, cover, direction: np.ndarray,
 def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
                        pool: CutPool | None = None) -> DepthResult:
     """Bisection driver: lower = 1, upper = heuristic cover weight, probe the
-    midpoint guess until the interval closes.
+    midpoint guess until the interval closes.  A heuristic cover of weight
+    0 or 1 runs no probe; one the row mean closes runs no LP at all.
 
     A probe that finds no witness (no integral node with a margin above
     ``engine.EPS_POS``) proves the depth exceeds the guess; a witness pulls

@@ -118,33 +118,54 @@ def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
     return sorted(set(picked))
 
 
+def _mean_direction(sys: InfeasibleSystem, viol_tol: float):
+    """The weighted mean of the unit rows, scaled so that every margin is at
+    least 1, when each row's margin along the mean's unit direction clears
+    ``viol_tol``; else None.  Such a direction proves depth 0 by plain
+    arithmetic, with no LP."""
+
+    if not sys.n_rows:
+        return None
+    mean = sys.weights @ sys.rows
+    low = float((sys.rows @ mean).min())
+    if low > viol_tol * float(np.linalg.norm(mean)):
+        return mean / low
+    return None
+
+
 def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
                    k: int = 1, viol_tol: float = VIOL_TOL,
                    counter: LpCounter | None = None
-                   ) -> tuple[set[int], np.ndarray, ElasticSolution]:
+                   ) -> tuple[set[int], np.ndarray, ElasticSolution | None]:
     """Greedy removal cover: rows whose deletion restores feasibility.
 
-    Solves the elastic program, tries deleting each candidate row, and
-    permanently deletes the one whose removal gives the smallest SINF; that
-    winning trial is the elastic solution of the next step.  Every trial
-    derives from the current solution's LP.  Stops when nothing is
-    violated; a single violated row is taken directly into the cover since
-    it alone blocks feasibility of the current system.
+    First tries the weighted mean of the rows: when it separates every row
+    with a unit margin above ``viol_tol``, the cover is empty and no LP
+    runs.  Otherwise solves the elastic program, tries deleting each
+    candidate row, and permanently deletes the one whose removal gives the
+    smallest SINF; that winning trial is the elastic solution of the next
+    step.  Every trial derives from the current solution's LP.  Stops when
+    nothing is violated; a single violated row is taken directly into the
+    cover since it alone blocks feasibility of the current system.
 
     ``variant`` is "full" (candidates are all violated rows) or "fast"
     (top-k candidates by the sensitivity scores, k >= 1).  Terminates in at
     most n steps because every step deletes at least one row for good.
 
-    Returns (cover, x, root).  x is the last elastic solution's direction:
-    <a_j, x> >= 1 - viol_tol on every row outside the cover, since the row
-    taken directly was its only violated one.  root is the first elastic
-    solution, over all rows.
+    Returns (cover, x, root).  x is the scaled mean, or else the last
+    elastic solution's direction: <a_j, x> >= 1 - viol_tol on every row
+    outside the cover, since the row taken directly was its only violated
+    one.  root is the first elastic solution, over all rows, and None when
+    the mean closed the cover.
     """
 
     if variant not in ("full", "fast"):
         raise ValueError(f"unknown variant {variant!r}")
     if k < 1:
         raise ValueError(f"heuristic k must be at least 1, got {k}")
+    mean = _mean_direction(sys, viol_tol)
+    if mean is not None:
+        return set(), mean, None
     cover: set[int] = set()
     root = sol = solve_elastic(sys, cover, viol_tol, counter)
     while sol.ninf > 0:

@@ -262,7 +262,8 @@ class EngineConfig:
 
     def __post_init__(self):
         # ParamBounds rejects these as well, but is only built once a tree
-        # runs, and most solves end at the heuristic.
+        # runs, and most solves end at the heuristic, many of them at its
+        # row-mean check before any LP.
         if not (self.c > 0 and self.epsilon > 0):
             raise ValueError("c and epsilon must be positive")
 
@@ -886,9 +887,11 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
 
     The elastic heuristic seeds the incumbent; covers of weight 0 or 1 are
     already optimal (no smaller cover exists for an infeasible system), so
-    the tree only runs beyond that.  The result carries the certifying
-    direction, the search stats, and flags exactness; with a time or node
-    budget hit you get the best cover plus the proven lower bound instead.
+    the tree only runs beyond that.  A query the row mean separates from
+    every row closes at weight 0 with no LP.  The result carries the
+    certifying direction, the search stats, and flags exactness; with a
+    time or node budget hit you get the best cover plus the proven lower
+    bound instead.
     """
 
     cfg = cfg or EngineConfig()

@@ -71,9 +71,9 @@ class InfeasibleSystem:
         w = np.asarray(self.weights, dtype=np.int64).reshape(-1)
         if w.shape[0] != rows.shape[0]:
             raise ValueError("weights and rows must have equal length")
-        if np.any(w <= 0):
+        if (w <= 0).any():
             raise ValueError("weights must be positive integers")
-        if rows.shape[0] and not np.all(np.any(rows != 0.0, axis=1)):
+        if rows.shape[0] and not (rows != 0.0).any(axis=1).all():
             raise ValueError("zero rows must be folded into zero_offset")
         if self.zero_offset < 0:
             raise ValueError("zero_offset must be nonnegative")
@@ -141,31 +141,35 @@ def build_system(ps: PointSet,
     """
 
     raw = ps.points - ps.query[None, :]
-    nonzero = np.any(raw != 0.0, axis=1)
+    nonzero = (raw != 0.0).any(axis=1)
     zero_offset = int(raw.shape[0] - np.count_nonzero(nonzero))
     kept = raw[nonzero]
     # Pre-dividing by the largest coordinate keeps the norm of subnormal
     # rows from underflowing to zero.
-    kept = kept / np.max(np.abs(kept), axis=1)[:, None]
+    kept = kept / np.abs(kept).max(axis=1)[:, None]
     # The batched 1 x d by d x 1 product is the same dot product that
     # np.linalg.norm takes of one row, so every row comes out bit for bit as
     # a per-row norm gives it; np.linalg.norm(axis=1) sums in another order.
     norms = np.sqrt((kept[:, None, :] @ kept[:, :, None])[:, 0, 0])
     kept = kept / norms[:, None]
 
-    if fold_duplicates:
-        # Rows compare by their bytes, so 0.0 and -0.0 stay distinct; the
-        # folded rows keep the order of their first occurrence.
-        keys = np.ascontiguousarray(kept).view(
-            np.dtype((np.void, kept.itemsize * ps.dim))).ravel()
-        _, first, counts = np.unique(keys, return_index=True,
-                                     return_counts=True)
-        order = np.argsort(first)
-        rows = kept[first[order]]
-        weights = counts[order]
-    else:
-        rows = kept
-        weights = np.ones(len(kept), dtype=np.int64)
+    rows = kept
+    weights = np.ones(len(kept), dtype=np.int64)
+    if fold_duplicates and len(kept) > 1:
+        # Rows compare by their bit patterns, so 0.0 and -0.0 stay
+        # distinct.  The sort is stable, so each run of equal rows starts
+        # at its first occurrence, and the folded rows keep that order.
+        bits = kept.view(np.int64)
+        order = np.lexsort(bits.T)
+        ordered = bits[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+        if len(starts) < len(kept):
+            first = order[starts]
+            counts = np.diff(starts, append=len(kept))
+            keep = np.argsort(first)
+            rows = kept[first[keep]]
+            weights = counts[keep]
 
     return InfeasibleSystem(dim=ps.dim, rows=rows,
                             weights=weights,

@@ -39,6 +39,26 @@ def outside_hull_system(seed: int, n: int, d: int):
     return build_system(PointSet(d, pts, q))
 
 
+def screen_system(k: int, seed: int = 1):
+    """The outermost point of a 201-point Gaussian cloud, left out of it,
+    against the other 200 (depth 0), drawn as the screening benchmark draws
+    its first attempt; d alternates between 2 and 3."""
+
+    d = 2 + k % 2
+    pts = np.random.default_rng([seed, k, 0]).normal(size=(201, d))
+    q = int(np.argmax(np.linalg.norm(pts, axis=1)))
+    return build_system(PointSet(d, np.delete(pts, q, axis=0), pts[q]))
+
+
+def skewed_arc_system():
+    """Depth 0, but the mean of its rows, nine near +85 degrees and one at
+    -85 degrees, gives the last row a negative margin."""
+
+    angles = np.radians(np.concatenate([np.linspace(84, 86, 9), [-85.0]]))
+    return build_system(PointSet(
+        2, np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(2)))
+
+
 def count_warm_starts(monkeypatch) -> list[bool]:
     """Record whether each solve given a start accepted it.  A start given
     as a whole earlier solution is accepted when the kernel derives from

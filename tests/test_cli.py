@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tukeydepth import cli
+from tukeydepth import cli, elastic
 from tukeydepth.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVE, EXIT_USAGE,
                             PointFileError, read_points, run)
 from tukeydepth.engine import EngineConfig
@@ -105,6 +105,17 @@ def test_heuristic_command(square_file, capsys):
     rc = run(["heuristic", str(square_file), "--query-coords", "0", "0"])
     assert rc == EXIT_OK
     assert int(capsys.readouterr().out.strip()) >= 2
+
+
+def test_heuristic_command_outside_hull_runs_no_lp(square_file, capsys,
+                                                   monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the row mean should close this cover")
+
+    monkeypatch.setattr(elastic, "solve_lp", no_lp)
+    rc = run(["heuristic", str(square_file), "--query-coords", "5", "3"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_json_output(square_file, tmp_path):

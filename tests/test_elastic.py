@@ -8,9 +8,10 @@ from tukeydepth.elastic import (VIOL_TOL, _fast_candidates, chinneck_cover,
                                 solve_elastic)
 from tukeydepth.model import PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d
-from tukeydepth.simplex import INF, LpModel, Sense, solve_lp
+from tukeydepth.simplex import INF, LpCounter, LpModel, Sense, solve_lp
 
-from conftest import count_warm_starts, gaussian_system
+from conftest import (count_warm_starts, gaussian_system, screen_system,
+                      skewed_arc_system)
 
 
 def test_elastic_on_surrounding_triangle(simplex_sys):
@@ -197,13 +198,63 @@ def test_cold_wide_elastic_takes_few_pivots(d, monkeypatch):
     monkeypatch.setattr(elastic, "solve_lp", spy)
     for seed in range(1, 4):
         for k in range(d - 2, 40, 2):
-            rng = np.random.default_rng([seed, k, 0])
-            pts = rng.normal(size=(201, d))
-            q = int(np.argmax(np.linalg.norm(pts, axis=1)))
-            sys_ = build_system(PointSet(d, np.delete(pts, q, axis=0),
-                                         pts[q]))
+            sys_ = screen_system(k, seed)
             assert sys_.n_rows == 200
             assert solve_elastic(sys_, set()).ninf == 0
     assert len(pivots) == 60
     assert max(p for p, _ in pivots) <= 2 * d + 2
     assert not any(p for _, p in pivots)
+
+
+def _counted_cover(sys_):
+    counter = LpCounter()
+    return chinneck_cover(sys_, "fast", 1, VIOL_TOL, counter), counter.count
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_row_mean_closes_outermost_query(k):
+    sys_ = screen_system(k)
+    (cover, x, root), lps = _counted_cover(sys_)
+    assert cover == set() and root is None and lps == 0
+    assert np.all(sys_.rows @ x >= 1 - VIOL_TOL)
+    mean = sys_.weights @ sys_.rows
+    assert np.allclose(x / np.linalg.norm(x), mean / np.linalg.norm(mean))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_row_mean_one_dimensional(sign):
+    sys_ = build_system(PointSet(1, sign * np.array([[3.0], [1.0], [1.0]]),
+                                 [0.0]))
+    (cover, x, root), lps = _counted_cover(sys_)
+    assert (cover, root, lps) == (set(), None, 0)
+    assert x[0] == sign
+
+
+def test_row_mean_misses_two_sided_line():
+    sys_ = build_system(PointSet(1, [[3.0], [1.0], [-1.0]], [0.0]))
+    (cover, _, root), lps = _counted_cover(sys_)
+    assert sys_.weight_of(cover) == 1
+    assert root is not None and lps >= 1
+
+
+def test_row_mean_missing_skewed_arc_falls_to_lp():
+    sys_ = skewed_arc_system()
+    assert np.min(sys_.rows @ (sys_.weights @ sys_.rows)) < 0
+    (cover, x, root), lps = _counted_cover(sys_)
+    assert cover == set() and root is not None and lps >= 1
+    assert np.all(sys_.rows @ x >= 1 - VIOL_TOL)
+
+
+def test_row_mean_margin_below_tolerance_takes_lp():
+    """A mean whose smallest unit margin is positive but below viol_tol
+    (here about 2.5e-8) is not trusted as a proof: the elastic LP decides."""
+
+    eps = 5e-8
+    sys_ = build_system(PointSet(2, [[1.0, 0.0], [-1.0, eps]], [0.0, 0.0]))
+    mean = sys_.weights @ sys_.rows
+    low = np.min(sys_.rows @ mean) / np.linalg.norm(mean)
+    assert 0 < low < VIOL_TOL
+    (cover, x, root), lps = _counted_cover(sys_)
+    assert root is not None and lps >= 1
+    assert np.all(sys_.rows[[j for j in range(2) if j not in cover]] @ x
+                  >= 1 - VIOL_TOL)

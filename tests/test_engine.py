@@ -22,7 +22,8 @@ from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
 from tukeydepth.simplex import INF, LpCounter, LpStatus, solve_lp
 
-from conftest import count_warm_starts, gaussian_system
+from conftest import (count_warm_starts, gaussian_system, screen_system,
+                      skewed_arc_system)
 
 
 def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
@@ -506,16 +507,6 @@ def test_complement_direction_signs(simplex_sys):
     assert np.all(simplex_sys.rows[[0, 1]] @ d > 0)
 
 
-def _screen_system(k):
-    """Outermost point of a 201-point Gaussian cloud, left out of it, against
-    the other 200 (depth 0); d alternates between 2 and 3."""
-
-    d = 2 + k % 2
-    pts = np.random.default_rng([1, k, 0]).normal(size=(201, d))
-    q = int(np.argmax(np.linalg.norm(pts, axis=1)))
-    return build_system(PointSet(d, np.delete(pts, q, axis=0), pts[q]))
-
-
 def _vertex_system(k):
     """A query just inside the outermost point of a 40-point cloud: that
     point alone is cut off, so the depth is 1."""
@@ -534,12 +525,13 @@ def _heuristic_lps(sys_, cfg):
 
 
 @pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
-@pytest.mark.parametrize("depth,make", [(0, _screen_system),
+@pytest.mark.parametrize("depth,make", [(0, screen_system),
                                         (1, _vertex_system)],
                          ids=["screen-depth0", "vertex-depth1"])
 def test_heuristic_direction_certifies_without_lp(solve, depth, make):
-    """A cover the heuristic closes is certified by its last elastic x: the
-    solve runs the heuristic's LPs and no other (one for depth 0)."""
+    """A cover the heuristic closes is certified by its direction: the
+    solve runs the heuristic's LPs and no other (none for depth 0, where
+    the row mean closes it)."""
 
     cfg = EngineConfig()
     for k in range(4):
@@ -550,7 +542,7 @@ def test_heuristic_direction_certifies_without_lp(solve, depth, make):
         assert res.certificate == "verified"
         assert res.stats.lps == _heuristic_lps(sys_, cfg)
         if depth == 0:
-            assert res.stats.lps == 1
+            assert res.stats.lps == 0
         keep = [j for j in range(sys_.n_rows) if j not in res.cover]
         assert np.all(sys_.rows[keep] @ res.direction > cfg.cert_tol)
 
@@ -574,7 +566,7 @@ def test_failed_direction_falls_back_to_alternative_lp(solve, monkeypatch):
     monkeypatch.setattr(binsearch, "chinneck_cover", reversed_x)
     monkeypatch.setattr(engine, "complement_direction", spy)
     cfg = EngineConfig()
-    for sys_ in (_screen_system(0), _vertex_system(1)):
+    for sys_ in (screen_system(0), _vertex_system(1)):
         cert_calls.clear()
         res = solve(sys_, cfg)
         assert res.certificate == "verified"
@@ -582,6 +574,66 @@ def test_failed_direction_falls_back_to_alternative_lp(solve, monkeypatch):
         assert res.stats.lps == _heuristic_lps(sys_, cfg) + 1
         keep = [j for j in range(sys_.n_rows) if j not in res.cover]
         assert np.all(sys_.rows[keep] @ res.direction > cfg.cert_tol)
+
+
+def _assert_mean_closed(res, sys_, cfg):
+    """Depth ``zero_offset`` proved by the row mean: no LP, node or guess,
+    and a verified direction."""
+
+    assert res.depth == sys_.zero_offset and res.cover == ()
+    assert res.exact and res.certificate == "verified"
+    assert res.stats.lps == res.stats.nodes == res.stats.guesses == 0
+    assert res.stats.heuristic_weight == 0
+    assert np.all(sys_.rows @ res.direction > cfg.cert_tol)
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_screening_family_runs_no_lp(solve):
+    """Every outermost-point query of the screening family (seeds 1 and 2,
+    40 queries each, d alternating 2 and 3) is answered at depth 0 by
+    arithmetic alone; an LP back on this traffic fails here."""
+
+    cfg = EngineConfig()
+    for seed in (1, 2):
+        for k in range(40):
+            sys_ = screen_system(k, seed)
+            assert sys_.n_rows == 200
+            _assert_mean_closed(solve(sys_, cfg), sys_, cfg)
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_query_on_data_points_closes_at_the_row_mean(solve):
+    """Points equal to the query count in every halfspace; when the rest
+    are separable the depth is their number, with no LP."""
+
+    cfg = EngineConfig()
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(1, 2, size=(12, 3)), np.zeros((3, 3))])
+    sys_ = build_system(PointSet(3, rng.permutation(pts), np.zeros(3)))
+    assert sys_.zero_offset == 3
+    _assert_mean_closed(solve(sys_, cfg), sys_, cfg)
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_dimensional_one_sided_closes_at_the_row_mean(solve, sign):
+    cfg = EngineConfig()
+    sys_ = build_system(PointSet(1, sign * np.array([[1.0], [2.0], [2.0]]),
+                                 [0.0]))
+    res = solve(sys_, cfg)
+    _assert_mean_closed(res, sys_, cfg)
+    assert res.direction[0] == sign
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_skewed_arc_missed_by_the_mean_runs_the_lp(solve):
+    cfg = EngineConfig()
+    sys_ = skewed_arc_system()
+    assert np.min(sys_.rows @ (sys_.weights @ sys_.rows)) < 0
+    res = solve(sys_, cfg)
+    assert res.depth == 0 and res.exact and res.certificate == "verified"
+    assert res.stats.lps >= 1
+    assert np.all(sys_.rows @ res.direction > cfg.cert_tol)
 
 
 @pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])

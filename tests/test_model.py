@@ -91,6 +91,10 @@ def test_build_system_matches_per_row_reference(dim, fold):
             tiny = query + rng.normal(size=(2, dim)) * 5e-324
             pts = np.vstack([pts, pts[picks], np.tile(query, (2, 1)), tiny])
             clouds.append((rng.permutation(pts), query))
+    # Every row one point, and no row repeated.
+    for query in (np.zeros(dim), rng.normal(size=dim)):
+        clouds.append((np.tile(query + rng.normal(size=dim), (7, 1)), query))
+        clouds.append((query + rng.normal(size=(30, dim)), query))
     for pts, query in clouds:
         ps = PointSet(dim, pts, query)
         sys_ = build_system(ps, fold_duplicates=fold)
@@ -104,22 +108,24 @@ def test_build_system_matches_per_row_reference(dim, fold):
 def test_fold_keeps_signed_zeros_apart(seed):
     """Duplicates fold in first-occurrence order, and rows that differ only
     in the sign of a zero stay two rows, bit for bit as the loop gives
-    them (``np.array_equal`` would call them equal)."""
+    them (``np.array_equal`` would call them equal).  Also on a cloud of
+    one repeated row and on one where no row repeats."""
 
     rng = np.random.default_rng(90 + seed)
     base = np.array([[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [-0.0, 3.0, -0.0],
                      [0.0, 3.0, 0.0], [0.0, 3.0, -0.0], [4.0, -1.0, 0.5]])
-    pts = base[rng.integers(0, len(base), size=40)]
-    ps = PointSet(3, pts, np.zeros(3))
-    sys_ = build_system(ps)
-    rows, weights, zero_offset = _build_system_per_row(ps, True)
-    assert sys_.rows.tobytes() == rows.tobytes()
-    assert np.array_equal(sys_.weights, weights)
-    assert sys_.weights.dtype == np.int64
-    assert sys_.zero_offset == zero_offset == 0
-    # The base rows are distinct as bytes, and so are their scaled rows.
-    assert sys_.n_rows == len({r.tobytes() for r in pts})
-    assert sys_.weights.sum() == len(pts)
+    for pts in (base[rng.integers(0, len(base), size=40)],
+                np.tile(base[seed], (9, 1)), rng.permutation(base)):
+        ps = PointSet(3, pts, np.zeros(3))
+        sys_ = build_system(ps)
+        rows, weights, zero_offset = _build_system_per_row(ps, True)
+        assert sys_.rows.tobytes() == rows.tobytes()
+        assert np.array_equal(sys_.weights, weights)
+        assert sys_.weights.dtype == np.int64
+        assert sys_.zero_offset == zero_offset == 0
+        # The base rows are distinct as bytes, and so are their scaled rows.
+        assert sys_.n_rows == len({r.tobytes() for r in pts})
+        assert sys_.weights.sum() == len(pts)
 
 
 def test_weight_accounting():
