@@ -58,8 +58,7 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     t0 = time.monotonic()
     pool = pool if pool is not None else CutPool()
 
-    best_cover, best_direction, root = chinneck_cover(
-        sys, cfg.heuristic_variant, cfg.heuristic_k, cfg.viol_tol, counter)
+    best_cover, best_direction, root = chinneck_cover(sys, counter)
     best_cover = frozenset(best_cover)
     upper = sys.weight_of(best_cover)
     stats.heuristic_weight = upper

@@ -173,8 +173,7 @@ def _cmd_solve(args, solver) -> int:
 
 def _cmd_heuristic(args) -> int:
     sys_ = _load_system(args)
-    cover, _, _ = chinneck_cover(sys_, args.heuristic_variant,
-                                 args.heuristic_k)
+    cover, _, _ = chinneck_cover(sys_)
     weight = sys_.weight_of(cover) + sys_.zero_offset
     payload = {"schema": JSON_SCHEMA_VERSION, "upper_bound": weight,
                "cover": sorted(int(j) for j in cover),
@@ -255,20 +254,9 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", dest="branch_rule", choices=["greedy", "strong"])
     p.add_argument("--select", dest="node_selection",
                    choices=["depth-first", "best-first"])
-    p.add_argument("--strong-k", type=int)
-    p.add_argument("--cut-improve", type=float)
-    p.add_argument("--max-cut-rounds", type=int)
-    p.add_argument("--rounding-depth", type=int,
-                   help="tree level beyond which the rounding heuristic runs")
-    p.add_argument("--rounding-iteration", type=int,
-                   help="cut-loop iteration beyond which it runs")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("--feas-tol", type=float)
     p.add_argument("--cert-tol", type=float)
-    p.add_argument("--viol-tol", type=float)
-    p.add_argument("--heuristic-variant", choices=["fast", "full"])
-    p.add_argument("--heuristic-k", type=int)
     p.add_argument("--time-limit", type=float)
     p.add_argument("--node-limit", type=int)
     p.set_defaults(**asdict(EngineConfig()))
@@ -301,10 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_heur = sub.add_parser("heuristic", help="greedy cover upper bound")
     _add_instance_args(p_heur)
-    p_heur.add_argument("--heuristic-variant", choices=["fast", "full"])
-    p_heur.add_argument("--heuristic-k", type=int)
-    p_heur.set_defaults(heuristic_variant=defaults.heuristic_variant,
-                        heuristic_k=defaults.heuristic_k)
     p_heur.add_argument("--json", metavar="PATH")
 
     p_oracle = sub.add_parser("oracle", help="combinatorial verification depth")

@@ -30,9 +30,6 @@ __all__ = [
     "generate_cuts",
 ]
 
-_FEAS_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class Cut:
     """Sorted row-index set C encoding the inequality sum_{j in C} s_j >= 1."""
@@ -96,8 +93,8 @@ def _alternative_lp(sys: InfeasibleSystem, active: list[int],
                    np.full(k, INF))
 
 
-def bis_cut(sys: InfeasibleSystem, active, feas_tol: float = _FEAS_TOL,
-            counter: LpCounter | None = None, values=None) -> Cut | None:
+def bis_cut(sys: InfeasibleSystem, active, counter: LpCounter | None = None,
+            values=None) -> Cut | None:
     """The IIS at the optimal vertex of the alternative LP over ``active``,
     or None when those rows admit a common strict solution (the LP is
     infeasible).
@@ -113,8 +110,7 @@ def bis_cut(sys: InfeasibleSystem, active, feas_tol: float = _FEAS_TOL,
     active = sorted(active)
     if not active:
         raise ValueError("active set must be nonempty")
-    sol = solve_lp(_alternative_lp(sys, active, values), feas_tol,
-                   counter=counter)
+    sol = solve_lp(_alternative_lp(sys, active, values), counter=counter)
     if sol.status is LpStatus.INFEASIBLE:
         return None
     if sol.status is not LpStatus.OPTIMAL:
@@ -123,7 +119,6 @@ def bis_cut(sys: InfeasibleSystem, active, feas_tol: float = _FEAS_TOL,
 
 
 def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
-                  feas_tol: float = _FEAS_TOL,
                   counter: LpCounter | None = None) -> list[Cut]:
     """At most one hitting-set cut for the current relaxation values: the
     IIS among the rows not fixed to 1 whose alternative-LP vertex minimizes
@@ -133,5 +128,5 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
     active = [j for j in range(sys.n_rows) if j not in fixed1]
     if not active:
         return []
-    cut = bis_cut(sys, active, feas_tol, counter, values=lp_binaries)
+    cut = bis_cut(sys, active, counter, values=lp_binaries)
     return [cut] if cut is not None else []

@@ -14,8 +14,8 @@ than an earlier one derives from that one's final kernel state (see
 ``simplex``).  From the optimum,
 x is the negated duals of the d equality rows, e_j = max(0, 1 - <a_j, x>)
 on the active rows, the row sensitivities (the row form's duals) are y, and
-the optimal objective (SINF) is 1.y.  SINF, the count of e_j above the
-violation tolerance (NINF), the e_j and the sensitivities drive both the
+the optimal objective (SINF) is 1.y.  SINF, the count of e_j above
+``VIOL_TOL`` (NINF), the e_j and the sensitivities drive both the
 incumbent heuristic and the greedy branching score.
 """
 
@@ -30,6 +30,7 @@ from .simplex import INF, LpCounter, LpModel, LpSolution, Sense, solve_lp
 
 __all__ = ["ElasticSolution", "solve_elastic", "chinneck_cover", "VIOL_TOL"]
 
+# An elastic variable above VIOL_TOL counts its row as violated.
 VIOL_TOL = 1e-7
 
 
@@ -69,7 +70,6 @@ def _elastic_model(sys: InfeasibleSystem, removed) -> LpModel:
 
 
 def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
-                  viol_tol: float = VIOL_TOL,
                   counter: LpCounter | None = None,
                   start: LpSolution | np.ndarray | None = None
                   ) -> ElasticSolution:
@@ -96,96 +96,84 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
     active = np.ones(n, dtype=bool)
     active[list(removed)] = False
     violations = np.where(active, np.maximum(0.0, 1.0 - sys.rows @ x), 0.0)
-    ninf = int(np.count_nonzero(violations > viol_tol))
+    ninf = int(np.count_nonzero(violations > VIOL_TOL))
     sinf = -float(sol.objective_value) if ninf else 0.0
     sensitivities = np.where(active, sol.primal, 0.0)
     return ElasticSolution(sinf, ninf, violations, sensitivities, x, removed,
                            sol)
 
 
-def _fast_candidates(sol: ElasticSolution, alive: list[int], k: int,
-                     viol_tol: float) -> list[int]:
+def _fast_candidates(sol: ElasticSolution, alive: list[int],
+                     k: int) -> list[int]:
     """Top-k rows by violation x |sensitivity| among violated rows plus
     top-k by |sensitivity| among satisfied rows; ties go to the lower index."""
 
     viol = [(j, sol.violations[j] * abs(sol.sensitivities[j]))
-            for j in alive if sol.violations[j] > viol_tol]
+            for j in alive if sol.violations[j] > VIOL_TOL]
     sat = [(j, abs(sol.sensitivities[j]))
-           for j in alive if sol.violations[j] <= viol_tol]
+           for j in alive if sol.violations[j] <= VIOL_TOL]
     viol.sort(key=lambda t: (-t[1], t[0]))
     sat.sort(key=lambda t: (-t[1], t[0]))
     picked = [j for j, _ in viol[:k]] + [j for j, _ in sat[:k]]
     return sorted(set(picked))
 
 
-def _mean_direction(sys: InfeasibleSystem, viol_tol: float):
+def _mean_direction(sys: InfeasibleSystem):
     """The weighted mean of the unit rows, scaled so that every margin is at
     least 1, when each row's margin along the mean's unit direction clears
-    ``viol_tol``; else None.  Such a direction proves depth 0 by plain
+    ``VIOL_TOL``; else None.  Such a direction proves depth 0 by plain
     arithmetic, with no LP."""
 
     if not sys.n_rows:
         return None
     mean = sys.weights @ sys.rows
     low = float((sys.rows @ mean).min())
-    if low > viol_tol * float(np.linalg.norm(mean)):
+    if low > VIOL_TOL * float(np.linalg.norm(mean)):
         return mean / low
     return None
 
 
-def chinneck_cover(sys: InfeasibleSystem, variant: str = "fast",
-                   k: int = 1, viol_tol: float = VIOL_TOL,
-                   counter: LpCounter | None = None
+def chinneck_cover(sys: InfeasibleSystem, counter: LpCounter | None = None
                    ) -> tuple[set[int], np.ndarray, ElasticSolution | None]:
     """Greedy removal cover: rows whose deletion restores feasibility.
 
     First tries the weighted mean of the rows: when it separates every row
-    with a unit margin above ``viol_tol``, the cover is empty and no LP
-    runs.  Otherwise solves the elastic program, tries deleting each
-    candidate row, and permanently deletes the one whose removal gives the
-    smallest SINF; that winning trial is the elastic solution of the next
-    step.  Every trial derives from the current solution's LP.  Stops when
-    nothing is violated; a single violated row is taken directly into the
-    cover since it alone blocks feasibility of the current system.
-
-    ``variant`` is "full" (candidates are all violated rows) or "fast"
-    (top-k candidates by the sensitivity scores, k >= 1).  Terminates in at
+    with a unit margin above ``VIOL_TOL``, the cover is empty and no LP
+    runs.  Otherwise solves the elastic program and tries deleting each of
+    at most two candidate rows: the violated row with the largest violation
+    x |sensitivity| and the satisfied row with the largest |sensitivity|
+    (Chinneck's fast candidate list, top one of each).  It permanently
+    deletes the candidate whose removal gives the smallest SINF; that
+    winning trial is the elastic solution of the next step.  Every trial
+    derives from the current solution's LP.  Stops when nothing is
+    violated; a single violated row is taken directly into the cover since
+    it alone blocks feasibility of the current system.  Terminates in at
     most n steps because every step deletes at least one row for good.
 
     Returns (cover, x, root).  x is the scaled mean, or else the last
-    elastic solution's direction: <a_j, x> >= 1 - viol_tol on every row
+    elastic solution's direction: <a_j, x> >= 1 - VIOL_TOL on every row
     outside the cover, since the row taken directly was its only violated
     one.  root is the first elastic solution, over all rows, and None when
     the mean closed the cover.
     """
 
-    if variant not in ("full", "fast"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if k < 1:
-        raise ValueError(f"heuristic k must be at least 1, got {k}")
-    mean = _mean_direction(sys, viol_tol)
+    mean = _mean_direction(sys)
     if mean is not None:
         return set(), mean, None
     cover: set[int] = set()
-    root = sol = solve_elastic(sys, cover, viol_tol, counter)
+    root = sol = solve_elastic(sys, cover, counter)
     while sol.ninf > 0:
         alive = [j for j in range(sys.n_rows) if j not in cover]
         if sol.ninf == 1:
-            only = next(j for j in alive if sol.violations[j] > viol_tol)
+            only = next(j for j in alive if sol.violations[j] > VIOL_TOL)
             cover.add(only)
             break
-
-        if variant == "full":
-            candidates = [j for j in alive if sol.violations[j] > viol_tol]
-        else:
-            candidates = _fast_candidates(sol, alive, k, viol_tol)
 
         best_j = -1
         best_sinf = INF
         best_resolve: ElasticSolution | None = None
-        for j in candidates:
-            trial = solve_elastic(sys, cover | {j}, viol_tol, counter,
-                                  start=sol.lp)
+        for j in _fast_candidates(sol, alive, 1):
+            trial = solve_elastic(sys, cover | {j}, counter, start=sol.lp)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial
         cover.add(best_j)

@@ -49,6 +49,18 @@ INT_TOL = 1e-9
 EPS_POS = 1e-7
 # Seconds between two progress lines of a search logged at INFO.
 LOG_EVERY = 1.0
+# Search tuning.  These are constants because no caller sets another value.
+# Strong branching solves both children of the STRONG_K most fractional
+# binaries.
+STRONG_K = 4
+# A node's cut loop stops after MAX_CUT_ROUNDS rounds, or once a round raises
+# the LP bound by less than CUT_IMPROVE.
+MAX_CUT_ROUNDS = 20
+CUT_IMPROVE = 1e-3
+# The depth form tries the rounding heuristic on a node deeper than
+# ROUNDING_DEPTH after each cut round beyond ROUNDING_ITERATION.
+ROUNDING_DEPTH = 7
+ROUNDING_ITERATION = 5
 
 
 class MipForm(Enum):
@@ -245,18 +257,9 @@ class DepthResult:
 class EngineConfig:
     branch_rule: str = "greedy"            # "greedy" | "strong"
     node_selection: str = "depth-first"    # "depth-first" | "best-first"
-    strong_k: int = 4
-    cut_improve: float = 1e-3
-    max_cut_rounds: int = 20
     epsilon: float = 1e-5
     c: float = 1.0
-    feas_tol: float = 1e-9
     cert_tol: float = 1e-9
-    viol_tol: float = VIOL_TOL
-    heuristic_variant: str = "fast"
-    heuristic_k: int = 1
-    rounding_depth: int = 7
-    rounding_iteration: int = 5
     time_limit: float | None = None
     node_limit: int | None = None
 
@@ -321,7 +324,6 @@ def _verified_direction(sys: InfeasibleSystem, cover, direction,
 
 
 def complement_direction(sys: InfeasibleSystem, cover,
-                         feas_tol: float = 1e-9,
                          counter: LpCounter | None = None):
     """Unit direction strictly separating all rows outside the cover, or
     None when they admit none.
@@ -340,8 +342,7 @@ def complement_direction(sys: InfeasibleSystem, cover,
         e1 = np.zeros(sys.dim)
         e1[0] = 1.0
         return e1
-    sol = solve_lp(_alternative_lp(sys, non_cover), feas_tol,
-                   counter=counter)
+    sol = solve_lp(_alternative_lp(sys, non_cover), counter=counter)
     if sol.status is not LpStatus.INFEASIBLE:
         return None
     x = -sol.duals[:sys.dim]
@@ -351,7 +352,6 @@ def complement_direction(sys: InfeasibleSystem, cover,
 
 def rounding_heuristic(lp: LpSolution, node: Node, mip: MipModel,
                        incumbent_weight: float = INF,
-                       feas_tol: float = 1e-9,
                        counter: LpCounter | None = None):
     """Round binaries at 0.5, keep the result only if it beats the incumbent
     and ``complement_direction`` confirms the remaining rows are jointly
@@ -365,7 +365,7 @@ def rounding_heuristic(lp: LpSolution, node: Node, mip: MipModel,
     weight = mip.sys.weight_of(cover)
     if weight >= incumbent_weight:
         return None
-    direction = complement_direction(mip.sys, cover, feas_tol, counter)
+    direction = complement_direction(mip.sys, cover, counter)
     if direction is None:
         return None
     return cover, weight, direction
@@ -402,14 +402,14 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
         parent = node.elastic
         if parent is None or parent.removed != node.fixed1:
             node.elastic = solve_elastic(
-                mip.sys, node.fixed1, cfg.viol_tol, counter,
+                mip.sys, node.fixed1, counter,
                 start=None if parent is None else parent.lp)
         el = node.elastic
-        violated = [j for j in fractional if el.violations[j] > cfg.viol_tol]
+        violated = [j for j in fractional if el.violations[j] > VIOL_TOL]
         pool = violated if violated else fractional
         best_j, best_score = pool[0], -1.0
         for j in pool:
-            if el.violations[j] > cfg.viol_tol:
+            if el.violations[j] > VIOL_TOL:
                 score = el.violations[j] * abs(el.sensitivities[j])
             else:
                 score = abs(el.sensitivities[j])
@@ -420,15 +420,15 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
     if cfg.branch_rule != "strong":
         raise ValueError(f"unknown branch rule {cfg.branch_rule!r}")
     order = sorted(fractional, key=lambda j: (-min(s[j], 1.0 - s[j]), j))
-    candidates = order[:max(1, cfg.strong_k)]
+    candidates = order[:STRONG_K]
     best_j, best_score = candidates[0], -INF
     for j in sorted(candidates):
         bounds_pair = []
         for fix_to_one in (True, False):
             f1 = node.fixed1 | {j} if fix_to_one else node.fixed1
             f0 = node.fixed0 if fix_to_one else node.fixed0 | {j}
-            child = solve_lp(mip.relaxation(f1, f0, cuts),
-                             cfg.feas_tol, counter=counter, start=lp)
+            child = solve_lp(mip.relaxation(f1, f0, cuts), counter=counter,
+                             start=lp)
             bounds_pair.append(INF if child.status is LpStatus.INFEASIBLE
                                else child.objective_value)
         score = min(bounds_pair)
@@ -514,23 +514,21 @@ class BranchCutEngine:
     def bound_and_cut(self, node: Node, incumbent_weight: float) -> NodeOutcome:
         """LP-and-cut loop for one node.
 
-        Cuts keep coming while the objective improves by at least
-        ``cut_improve``, the solution stays fractional, and the generator
-        still produces something new; infeasibility and bound dominance end
-        the node immediately.  The first LP derives from the engine's live
-        LP when the node's start statuses are that LP's (the node is its
-        child, or the root of a later bisection probe) and starts from the
-        statuses otherwise; each cut round derives from the previous
-        round's.  The pool only appends, so the earlier LPs' rows are a
-        prefix of the new ones.  Both hand the earlier kernel state over
-        rather than copy it, unless it is the guess form's root LP.  The
+        Cuts keep coming for at most ``MAX_CUT_ROUNDS`` rounds while the
+        objective improves by at least ``CUT_IMPROVE``, the solution stays
+        fractional, and the generator still produces a cut the pool lacks;
+        infeasibility and bound dominance end the node immediately.  The first
+        LP derives from the engine's live LP when the node's start statuses are
+        that LP's (the node is its child, or the root of a later bisection
+        probe) and starts from the statuses otherwise; each cut round derives
+        from the previous round's.  The pool only appends, so the earlier LPs'
+        rows are a prefix of the new ones.  Both hand the earlier kernel state
+        over rather than copy it, unless it is the guess form's root LP.  The
         node's final LP becomes the live one when it is feasible.
         """
 
-        cfg = self.cfg
         mip = self.mip
         active = tuple(self.pool.snapshot())
-        seen = {c.members for c in active}
         rounding = None
         new_cut_count = 0
 
@@ -546,7 +544,7 @@ class BranchCutEngine:
         # Only ``start`` may keep the earlier kernel state alive, and only
         # while the first LP derives from it.
         del live
-        lp = solve_lp(model, cfg.feas_tol, counter=self.counter, start=start)
+        lp = solve_lp(model, counter=self.counter, start=start)
         del start
         iteration = 0
         prev_obj = None
@@ -566,20 +564,16 @@ class BranchCutEngine:
                 kind = OutcomeKind.FATHOMED
                 break
 
-            if iteration >= cfg.max_cut_rounds or self.budget.time_up():
+            if iteration >= MAX_CUT_ROUNDS or self.budget.time_up():
                 break
-            if (prev_obj is not None
-                    and obj - prev_obj < cfg.cut_improve):
+            if prev_obj is not None and obj - prev_obj < CUT_IMPROVE:
                 break
 
             fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
-                                              cfg.feas_tol, self.counter)
-                     if c.members not in seen]
+                                              self.counter)
+                     if self.pool.insert(c)]
             if not fresh:
                 break
-            for cut in fresh:
-                self.pool.insert(cut)
-                seen.add(cut.members)
             active = active + tuple(fresh)
             new_cut_count += len(fresh)
 
@@ -587,15 +581,14 @@ class BranchCutEngine:
             prev_obj = obj
             model = mip.relaxation(node.fixed1, node.fixed0, active,
                                    base=model)
-            lp = solve_lp(model, cfg.feas_tol, counter=self.counter,
-                          start=lp.handover())
+            lp = solve_lp(model, counter=self.counter, start=lp.handover())
 
             if (mip.form is MipForm.DEPTH
-                    and node.tree_depth > cfg.rounding_depth
-                    and iteration > cfg.rounding_iteration
+                    and node.tree_depth > ROUNDING_DEPTH
+                    and iteration > ROUNDING_ITERATION
                     and lp.status is LpStatus.OPTIMAL):
                 cand = rounding_heuristic(lp, node, mip, incumbent_weight,
-                                          cfg.feas_tol, self.counter)
+                                          self.counter)
                 if cand is not None and (rounding is None
                                          or cand[1] < rounding[1]):
                     rounding = cand
@@ -614,7 +607,7 @@ class BranchCutEngine:
                 out.rc_fix0, out.rc_fix1 = self._reduced_cost_fixings(
                     node, lp, incumbent_weight)
                 out.branch_var = select_branch_variable(
-                    node, mip, lp, cfg, active, counter=self.counter)
+                    node, mip, lp, self.cfg, active, counter=self.counter)
         return out
 
     def _reduced_cost_fixings(self, node: Node, lp: LpSolution,
@@ -706,7 +699,6 @@ class BranchCutEngine:
                                             self.cfg.cert_tol)
                     if x is None:
                         x = complement_direction(sys, out.cover,
-                                                 self.cfg.feas_tol,
                                                  self.counter)
                     if x is not None:
                         cover, direction, weight = out.cover, x, found
@@ -859,7 +851,7 @@ def _finalize(sys: InfeasibleSystem, cover, direction, stats: SolveStats,
 
     unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
     if unit is None:
-        direction = complement_direction(sys, cover, cfg.feas_tol, counter)
+        direction = complement_direction(sys, cover, counter)
         unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
     cert = "verified" if unit is not None else "unverified"
     if unit is not None:
@@ -899,9 +891,7 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     stats = SolveStats()
     t0 = time.monotonic()
 
-    cover, direction, root = chinneck_cover(sys, cfg.heuristic_variant,
-                                            cfg.heuristic_k, cfg.viol_tol,
-                                            counter)
+    cover, direction, root = chinneck_cover(sys, counter)
     cover = frozenset(cover)
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight

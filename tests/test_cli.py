@@ -252,18 +252,24 @@ def test_bench_empty_dir(tmp_path, capsys):
 
 
 def test_engine_flags_match_config(triangle_file):
-    """Every ``EngineConfig`` field has a flag on each solving command, the
-    flag defaults are the dataclass's, and --rule/--select reach their
-    fields."""
+    """Each solving command has one flag per ``EngineConfig`` field plus
+    --json and --allow-unverified and no other engine flag, ``heuristic``
+    takes only --json, the flag defaults are the dataclass's, and
+    --rule/--select reach their fields."""
 
     parser = cli._build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     names = {f.name for f in fields(EngineConfig)}
-    for command in ("depth", "binsearch", "bench"):
+    instance = {"help", "query", "query_coords"}
+    for command, extra in (("depth", set()), ("binsearch", set()),
+                           ("bench", {"algorithm"})):
         dests = {a.dest for a in sub.choices[command]._actions
                  if a.option_strings}
-        assert names <= dests, command
+        assert dests == (names | instance | extra
+                         | {"json", "allow_unverified"}), command
+    assert {a.dest for a in sub.choices["heuristic"]._actions
+            if a.option_strings} == instance | {"json"}
     args = parser.parse_args(["depth", str(triangle_file)])
     assert cli._config_from_args(args) == EngineConfig()
     args = parser.parse_args(["depth", str(triangle_file), "--rule", "strong",
@@ -273,30 +279,44 @@ def test_engine_flags_match_config(triangle_file):
 
 
 def test_other_commands_take_config_defaults(triangle_file, monkeypatch):
-    """A bare ``heuristic`` and a bare ``export-mps`` read their engine
-    values from ``EngineConfig()``, so they cannot drift from ``depth``."""
+    """A bare ``export-mps`` reads its engine values from
+    ``EngineConfig()``, so they cannot drift from ``depth``."""
 
-    cfg = EngineConfig(heuristic_variant="full", heuristic_k=3,
-                       epsilon=2e-4, c=3.0)
+    cfg = EngineConfig(epsilon=2e-4, c=3.0)
     monkeypatch.setattr(cli, "EngineConfig", lambda: cfg)
     parser = cli._build_parser()
-    args = parser.parse_args(["heuristic", str(triangle_file)])
-    assert (args.heuristic_variant, args.heuristic_k) == ("full", 3)
     args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
     assert (args.epsilon, args.c) == (2e-4, 3.0)
     monkeypatch.undo()
     parser = cli._build_parser()
     defaults = EngineConfig()
-    args = parser.parse_args(["heuristic", str(triangle_file)])
-    assert (args.heuristic_variant, args.heuristic_k) == (
-        defaults.heuristic_variant, defaults.heuristic_k)
     args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
     assert (args.epsilon, args.c) == (defaults.epsilon, defaults.c)
 
 
+# Flags of tuning values that are now engine constants, each with the
+# value the constant holds.
+REMOVED_FLAGS = [("--strong-k", "4"), ("--cut-improve", "1e-3"),
+                 ("--max-cut-rounds", "20"), ("--rounding-depth", "7"),
+                 ("--rounding-iteration", "5"), ("--feas-tol", "1e-9"),
+                 ("--viol-tol", "1e-7"), ("--heuristic-variant", "fast"),
+                 ("--heuristic-k", "1")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("depth", flag, value) for flag, value in REMOVED_FLAGS] + [
+    ("heuristic", flag, value) for flag, value in REMOVED_FLAGS[-2:]])
+def test_removed_flag_is_usage_error(command, flag, value, square_file,
+                                     capsys):
+    rc = run([command, str(square_file), "--query-coords", "0", "0", flag,
+              value])
+    assert rc == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("instance, argv, message", [
-    ("square_file", ["depth", "--heuristic-k", "0"], "at least 1"),
-    ("square_file", ["heuristic", "--heuristic-k", "0"], "at least 1"),
+    ("square_file", ["depth", "--epsilon", "0"], "must be positive"),
+    ("square_file", ["binsearch", "--c", "-1"], "must be positive"),
     ("triangle_file", ["depth", "--c", "0"], "must be positive"),
     ("triangle_file", ["binsearch", "--epsilon", "0"], "must be positive"),
 ])

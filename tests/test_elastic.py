@@ -49,47 +49,84 @@ def test_elastic_weights_scale_objective():
 
 
 def test_cover_on_surrounding_triangle(simplex_sys):
-    for variant in ("full", "fast"):
-        cover, _, _ = chinneck_cover(simplex_sys, variant, 1)
-        assert simplex_sys.weight_of(cover) == 1
-        post = solve_elastic(simplex_sys, cover)
-        assert post.sinf <= 1e-9
+    cover, _, _ = chinneck_cover(simplex_sys)
+    assert simplex_sys.weight_of(cover) == 1
+    post = solve_elastic(simplex_sys, cover)
+    assert post.sinf <= 1e-9
 
 
 def test_cover_feasible_system_is_empty(outside_sys):
-    assert chinneck_cover(outside_sys, "fast", 1)[0] == set()
+    assert chinneck_cover(outside_sys)[0] == set()
 
 
 def test_cover_square_corners(square_sys):
-    cover, _, _ = chinneck_cover(square_sys, "fast", 1)
+    cover, _, _ = chinneck_cover(square_sys)
     assert square_sys.weight_of(cover) == 2
     post = solve_elastic(square_sys, cover)
     assert post.sinf <= 1e-9
 
 
-def test_unknown_variant_rejected(simplex_sys):
-    with pytest.raises(ValueError):
-        chinneck_cover(simplex_sys, "greedy", 1)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_cover_feasibility_and_admissibility(seed):
     sys_, depth, _ = gaussian_system(3000 + seed, 8 + seed, 2 + seed % 3)
-    for variant in ("full", "fast"):
-        cover, _, _ = chinneck_cover(sys_, variant, 1)
-        post = solve_elastic(sys_, cover)
-        assert post.sinf <= 1e-7, "cover must restore feasibility"
-        assert sys_.weight_of(cover) + sys_.zero_offset >= depth
-        assert len(cover) <= sys_.n_rows
+    cover, _, _ = chinneck_cover(sys_)
+    post = solve_elastic(sys_, cover)
+    assert post.sinf <= 1e-7, "cover must restore feasibility"
+    assert sys_.weight_of(cover) + sys_.zero_offset >= depth
+    assert len(cover) <= sys_.n_rows
 
 
 def test_fast_candidates_contain_full_with_big_k(simplex_sys, square_sys):
     for sys_ in (simplex_sys, square_sys):
         sol = solve_elastic(sys_, set())
         alive = list(range(sys_.n_rows))
-        fast = _fast_candidates(sol, alive, sys_.n_rows, 1e-7)
-        full = [j for j in alive if sol.violations[j] > 1e-7]
+        fast = _fast_candidates(sol, alive, sys_.n_rows)
+        full = [j for j in alive if sol.violations[j] > VIOL_TOL]
         assert set(full) <= set(fast)
+
+
+def _top_candidates(sol, alive):
+    """The violated row with the largest violation x |sensitivity| and the
+    satisfied row with the largest |sensitivity|, each the lowest index
+    among equal scores."""
+
+    picked = set()
+    for violated in (True, False):
+        scores = {j: (sol.violations[j] * abs(sol.sensitivities[j])
+                      if violated else abs(sol.sensitivities[j]))
+                  for j in alive if (sol.violations[j] > VIOL_TOL) == violated}
+        if scores:
+            top = max(scores.values())
+            picked.add(min(j for j, v in scores.items() if v == top))
+    return picked
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chinneck_tries_the_top_candidates(seed, monkeypatch):
+    """Each step of the heuristic tries exactly the top violated and the
+    top satisfied row of the step's elastic solution, each trial removing
+    one of them on top of that solution's rows."""
+
+    sys_, _, _ = gaussian_system(3100 + seed, 10 + seed, 2 + seed % 3)
+    solve = elastic.solve_elastic
+    solved, trials = {}, {}
+
+    def spy(sys_, removed, counter=None, start=None):
+        sol = solve(sys_, removed, counter, start=start)
+        solved[id(sol.lp)] = sol
+        if start is not None:
+            trials.setdefault(id(start), set()).add(frozenset(removed))
+        return sol
+
+    monkeypatch.setattr(elastic, "solve_elastic", spy)
+    chinneck_cover(sys_)
+    assert trials
+    for key, removed_sets in trials.items():
+        step = solved[key]
+        alive = [j for j in range(sys_.n_rows) if j not in step.removed]
+        expected = _top_candidates(step, alive)
+        assert _fast_candidates(step, alive, 1) == sorted(expected)
+        assert removed_sets == {step.removed | {j} for j in expected}
 
 
 def test_cover_weighted_duplicates():
@@ -97,15 +134,9 @@ def test_cover_weighted_duplicates():
     pts = [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3
     sys_ = build_system(PointSet(2, pts, [0, 0]))
     assert sys_.n_rows == 3
-    cover, _, _ = chinneck_cover(sys_, "fast", 1)
+    cover, _, _ = chinneck_cover(sys_)
     assert sys_.weight_of(cover) == 3
     assert oracle_depth_2d(sys_) == 3
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_chinneck_rejects_k_below_one(square_sys, k):
-    with pytest.raises(ValueError, match="at least 1"):
-        chinneck_cover(square_sys, "fast", k)
 
 
 def _row_form(sys_, removed):
@@ -172,13 +203,10 @@ def test_chinneck_trials_start_warm(seed, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(elastic, "solve_elastic", spy)
-    for variant, k in (("fast", 1), ("fast", 2), ("full", 1)):
-        calls.clear()
-        accepted.clear()
-        chinneck_cover(sys_, variant, k)
-        assert len(calls) > 2
-        assert calls == [False] + [True] * (len(calls) - 1)
-        assert accepted == [True] * (len(calls) - 1)
+    chinneck_cover(sys_)
+    assert len(calls) > 2
+    assert calls == [False] + [True] * (len(calls) - 1)
+    assert accepted == [True] * (len(calls) - 1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -208,7 +236,7 @@ def test_cold_wide_elastic_takes_few_pivots(d, monkeypatch):
 
 def _counted_cover(sys_):
     counter = LpCounter()
-    return chinneck_cover(sys_, "fast", 1, VIOL_TOL, counter), counter.count
+    return chinneck_cover(sys_, counter), counter.count
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -246,7 +274,7 @@ def test_row_mean_missing_skewed_arc_falls_to_lp():
 
 
 def test_row_mean_margin_below_tolerance_takes_lp():
-    """A mean whose smallest unit margin is positive but below viol_tol
+    """A mean whose smallest unit margin is positive but below VIOL_TOL
     (here about 2.5e-8) is not trusted as a proof: the elastic LP decides."""
 
     eps = 5e-8

@@ -1,7 +1,7 @@
-import inspect
 import logging
 import re
 import weakref
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth import binsearch, cuts, elastic, engine, simplex
+from tukeydepth import binsearch, elastic, engine, simplex
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
-from tukeydepth.elastic import chinneck_cover, solve_elastic
+from tukeydepth.elastic import VIOL_TOL, chinneck_cover, solve_elastic
 from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
                                MipModel, Node, OutcomeKind, _NodeStore,
                                complement_direction, expand,
@@ -30,6 +30,27 @@ def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
     cfg = cfg or EngineConfig()
     bounds = ParamBounds.for_system(sys_, cfg.c, cfg.epsilon)
     return MipModel(sys_, bounds, form, guess=guess)
+
+
+# Former EngineConfig fields, each with the value the engine now always
+# uses; the first five are engine constants of the same name in capitals.
+REMOVED_FIELDS = {"strong_k": 4, "cut_improve": 1e-3, "max_cut_rounds": 20,
+                  "rounding_depth": 7, "rounding_iteration": 5,
+                  "feas_tol": 1e-9, "viol_tol": 1e-7,
+                  "heuristic_variant": "fast", "heuristic_k": 1}
+
+
+def test_engine_config_keeps_only_caller_knobs():
+    assert {f.name for f in fields(EngineConfig)} == {
+        "branch_rule", "node_selection", "epsilon", "c", "cert_tol",
+        "time_limit", "node_limit"}
+    for name, value in REMOVED_FIELDS.items():
+        with pytest.raises(TypeError):
+            EngineConfig(**{name: value})
+    for name in ("strong_k", "cut_improve", "max_cut_rounds",
+                 "rounding_depth", "rounding_iteration"):
+        assert getattr(engine, name.upper()) == REMOVED_FIELDS[name]
+    assert VIOL_TOL == REMOVED_FIELDS["viol_tol"]
 
 
 def test_solve_depth_examples(simplex_sys, square_sys, outside_sys):
@@ -112,10 +133,10 @@ def test_select_branch_greedy_matches_scores(square_sys):
         pytest.skip("relaxation already integral at the root")
     chosen = select_branch_variable(Node(), mip, lp, cfg)
     el = solve_elastic(square_sys, set())
-    viol = [j for j in fractional if el.violations[j] > cfg.viol_tol]
+    viol = [j for j in fractional if el.violations[j] > VIOL_TOL]
     pool = viol if viol else fractional
     scores = {j: (el.violations[j] * abs(el.sensitivities[j])
-                  if el.violations[j] > cfg.viol_tol
+                  if el.violations[j] > VIOL_TOL
                   else abs(el.sensitivities[j])) for j in pool}
     best = max(scores.values())
     expected = min(j for j, v in scores.items() if v >= best - 1e-15)
@@ -123,7 +144,7 @@ def test_select_branch_greedy_matches_scores(square_sys):
 
 
 def test_select_branch_strong_matches_child_bounds(square_sys):
-    cfg = EngineConfig(branch_rule="strong", strong_k=4)
+    cfg = EngineConfig(branch_rule="strong")
     mip = mip_for(square_sys, cfg=cfg)
     lp = solve_lp(mip.relaxation())
     s = lp.primal[2:6]
@@ -239,6 +260,19 @@ def test_rounding_heuristic_rule(simplex_sys):
                               incumbent_weight=1) is None
 
 
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_each_new_cut_enters_the_pool_once(solve):
+    """A node keeps a generated cut only when the pool takes it, so the
+    solve's cut count is the pool's size: no cut row is appended twice."""
+
+    for seed in range(3):
+        sys_, depth, _ = gaussian_system(6400 + seed, 16, 3)
+        pool = CutPool()
+        res = solve(sys_, pool=pool)
+        assert res.depth == depth
+        assert res.stats.cuts == len(pool) > 0
+
+
 def test_determinism_across_runs():
     sys_, depth, _ = gaussian_system(6400, 16, 3)
     a = solve_depth(sys_)
@@ -264,54 +298,31 @@ def test_solvers_take_no_primal_pivots(rule):
         assert res.stats.primal_pivots == 0
 
 
-@pytest.mark.parametrize("feas_tol", [1e-8, EngineConfig().feas_tol])
-def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
-    """``EngineConfig.feas_tol`` reaches the alternative LPs of cut
-    generation (``bis_cut``) and of the rounding heuristic
-    (``complement_direction``); the default is the value both use on their
-    own."""
+def test_rounding_in_cut_loop_keeps_depth(monkeypatch):
+    """With its depth and iteration thresholds at 0, the rounding heuristic
+    runs inside the cut loop of every node and finds covers lighter than
+    the incumbent, and the search still ends at the exact depth."""
 
-    bis_cut = cuts.bis_cut
-    received = {"bis_cut": [], "complement_direction": []}
-    inside_rounding = []
-
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            bound = inspect.signature(fn).bind(*args, **kwargs)
-            bound.apply_defaults()
-            if name == "bis_cut" or inside_rounding:
-                received[name].append(bound.arguments["feas_tol"])
-            return fn(*args, **kwargs)
-        return wrapper
+    found = []
 
     def rounding(*args, **kwargs):
-        inside_rounding.append(True)
-        try:
-            return rounding_heuristic(*args, **kwargs)
-        finally:
-            inside_rounding.pop()
+        cand = rounding_heuristic(*args, **kwargs)
+        found.append(cand)
+        return cand
 
-    monkeypatch.setattr(cuts, "bis_cut", spy("bis_cut", bis_cut))
-    monkeypatch.setattr(engine, "complement_direction",
-                        spy("complement_direction", complement_direction))
+    monkeypatch.setattr(engine, "ROUNDING_DEPTH", 0)
+    monkeypatch.setattr(engine, "ROUNDING_ITERATION", 0)
     monkeypatch.setattr(engine, "rounding_heuristic", rounding)
 
     sys_, depth, _ = gaussian_system(6400, 16, 3)
-    cfg = EngineConfig(feas_tol=feas_tol, rounding_depth=0,
-                       rounding_iteration=0)
+    cfg = EngineConfig()
     search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
     # The all-rows incumbent lets every rounding reach its feasibility check.
     everything = frozenset(range(sys_.n_rows))
     _, _, weight, exact, _ = search.run_depth(everything, None,
                                               sys_.n_rows)
     assert exact and weight == depth
-    for name, tols in received.items():
-        assert tols, name
-        assert set(tols) == {feas_tol}, name
-    if feas_tol == EngineConfig().feas_tol:
-        defaults = [inspect.signature(f).parameters["feas_tol"].default
-                    for f in (bis_cut, complement_direction)]
-        assert defaults == [feas_tol, feas_tol]
+    assert any(cand is not None for cand in found)
 
 
 @pytest.mark.parametrize("rule", ["greedy", "strong"])
@@ -517,10 +528,9 @@ def _vertex_system(k):
         d, pts, 0.99 * pts[np.argmax(np.linalg.norm(pts, axis=1))]))
 
 
-def _heuristic_lps(sys_, cfg):
+def _heuristic_lps(sys_):
     counter = LpCounter()
-    chinneck_cover(sys_, cfg.heuristic_variant, cfg.heuristic_k,
-                   cfg.viol_tol, counter)
+    chinneck_cover(sys_, counter)
     return counter.count
 
 
@@ -540,7 +550,7 @@ def test_heuristic_direction_certifies_without_lp(solve, depth, make):
         res = solve(sys_, cfg)
         assert res.depth == depth and res.exact
         assert res.certificate == "verified"
-        assert res.stats.lps == _heuristic_lps(sys_, cfg)
+        assert res.stats.lps == _heuristic_lps(sys_)
         if depth == 0:
             assert res.stats.lps == 0
         keep = [j for j in range(sys_.n_rows) if j not in res.cover]
@@ -571,7 +581,7 @@ def test_failed_direction_falls_back_to_alternative_lp(solve, monkeypatch):
         res = solve(sys_, cfg)
         assert res.certificate == "verified"
         assert len(cert_calls) == 1
-        assert res.stats.lps == _heuristic_lps(sys_, cfg) + 1
+        assert res.stats.lps == _heuristic_lps(sys_) + 1
         keep = [j for j in range(sys_.n_rows) if j not in res.cover]
         assert np.all(sys_.rows[keep] @ res.direction > cfg.cert_tol)
 
