@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 import weakref
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth import binsearch, elastic, engine, simplex
+from tukeydepth import binsearch, cuts, elastic, engine, simplex
 from tukeydepth.binsearch import solve_depth_binary
 from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import VIOL_TOL, chinneck_cover, solve_elastic
@@ -323,6 +324,60 @@ def test_rounding_in_cut_loop_keeps_depth(monkeypatch):
                                               sys_.n_rows)
     assert exact and weight == depth
     assert any(cand is not None for cand in found)
+
+
+@pytest.mark.parametrize("feas_tol", [1e-8, 1e-9])
+def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
+    """The alternative LPs of cut generation (``bis_cut``) and of the
+    rounding heuristic (``complement_direction``) pass no tolerance of their
+    own, so ``solve_lp``'s ``feas_tol`` reaches both; its default, 1e-9,
+    leaves the run as it is, and 1e-8 keeps the exact depth."""
+
+    assert inspect.signature(solve_lp).parameters["feas_tol"].default == 1e-9
+    received = {"bis_cut": [], "complement_direction": []}
+    inside_complement = []
+
+    def solver(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "bis_cut" or inside_complement:
+                received[name].append(kwargs.get("feas_tol"))
+                kwargs["feas_tol"] = feas_tol
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def complement(*args, **kwargs):
+        inside_complement.append(True)
+        try:
+            return complement_direction(*args, **kwargs)
+        finally:
+            inside_complement.pop()
+
+    def run(spied):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "ROUNDING_DEPTH", 0)
+            m.setattr(engine, "ROUNDING_ITERATION", 0)
+            if spied:
+                m.setattr(cuts, "solve_lp", solver("bis_cut", cuts.solve_lp))
+                m.setattr(engine, "solve_lp",
+                          solver("complement_direction", engine.solve_lp))
+                m.setattr(engine, "complement_direction", complement)
+            cfg = EngineConfig()
+            search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
+            # The all-rows incumbent lets every rounding reach its
+            # feasibility check.
+            everything = frozenset(range(sys_.n_rows))
+            out = search.run_depth(everything, None, sys_.n_rows)
+            return out, vars(search.counter)
+
+    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    (cover, _, weight, exact, _), counts = run(spied=True)
+    assert exact and weight == depth
+    for name, tols in received.items():
+        assert tols, name
+        assert set(tols) == {None}, name
+    if feas_tol == 1e-9:
+        (plain_cover, _, _, _, _), plain_counts = run(spied=False)
+        assert cover == plain_cover and counts == plain_counts
 
 
 @pytest.mark.parametrize("rule", ["greedy", "strong"])
