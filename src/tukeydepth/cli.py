@@ -49,7 +49,8 @@ class PointFileError(ValueError):
 
 def read_points(path, query_index: int | None = None,
                 query_coords=None) -> PointSet:
-    """Parse a plain-text instance: first line `n d`, then n rows of d reals.
+    """Parse a plain-text instance: first line `n d`, then n rows of d
+    finite reals.
 
     The query defaults to the first listed point.  A query given by index
     (including that default) is excluded from the point set, matching the
@@ -93,6 +94,8 @@ def read_points(path, query_index: int | None = None,
             points[i] = [float(t) for t in toks]
         except ValueError as exc:
             raise PointFileError(line_no, f"bad number: {exc}") from None
+        if not np.isfinite(points[i]).all():
+            raise PointFileError(line_no, "non-finite coordinate")
 
     if query_coords is not None:
         coords = np.asarray([float(v) for v in query_coords], dtype=float)

@@ -21,6 +21,7 @@ incumbent heuristic and the greedy branching score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,8 @@ def _mean_direction(sys: InfeasibleSystem):
         return None
     mean = sys.weights @ sys.rows
     low = float((sys.rows @ mean).min())
-    if low > VIOL_TOL * float(np.linalg.norm(mean)):
+    # The same dot product np.linalg.norm takes of a 1-D array.
+    if low > VIOL_TOL * math.sqrt(float(mean @ mean)):
         return mean / low
     return None
 

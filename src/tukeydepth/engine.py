@@ -315,12 +315,13 @@ def _verified_direction(sys: InfeasibleSystem, cover, direction,
 
     if direction is None:
         return None
-    norm = float(np.linalg.norm(direction))
+    # The same dot product np.linalg.norm takes of a 1-D array.
+    norm = math.sqrt(float(direction @ direction))
     if not norm > 0:
         return None
     unit = direction / norm
-    margins = sys.rows[_non_cover(sys, cover)] @ unit
-    return unit if np.all(margins > cert_tol) else None
+    rows = sys.rows[_non_cover(sys, cover)] if cover else sys.rows
+    return unit if np.all(rows @ unit > cert_tol) else None
 
 
 def complement_direction(sys: InfeasibleSystem, cover,

@@ -3,6 +3,7 @@ big-M / epsilon parameter bounds used by the depth integer programs."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,9 @@ class PointSet:
 
     ``points`` has shape (n, dim) and ``query`` shape (dim,).  The point list
     may be empty (a query excluded from a singleton file leaves nothing to
-    count against).
+    count against).  Every coordinate must be finite, and so must every
+    point's offset from the query: a NaN or an infinity has no halfspace
+    side, so it is rejected here.
     """
 
     dim: int
@@ -44,6 +47,16 @@ class PointSet:
         q = np.asarray(self.query, dtype=float).reshape(-1)
         if q.shape != (self.dim,):
             raise ValueError(f"query must have {self.dim} coordinates")
+        if not np.isfinite(q).all():
+            raise ValueError("the query has a non-finite coordinate")
+        # With a finite query, an offset is finite exactly when the point
+        # is finite and does not lie too far away for float64.
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(pts - q).all(axis=1))
+        if bad.size:
+            more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+            raise ValueError(f"point {bad[0]}{more} has a non-finite "
+                             "coordinate or offset from the query")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "query", _readonly(q))
 
@@ -59,6 +72,12 @@ class InfeasibleSystem:
     Rows that are exactly zero (points equal to the query) are never stored;
     their total weight lives in ``zero_offset`` and is added to every depth
     value downstream, since no direction can strictly separate them.
+
+    The constructor copies ``rows`` and ``weights`` into read-only arrays
+    and rejects zero rows, non-positive weights, a length mismatch and a
+    negative ``zero_offset``.  ``build_system`` skips that pass (through
+    ``_trusted``): the arrays it hands over are fresh, and zero-free and
+    positive by construction.
     """
 
     dim: int
@@ -80,6 +99,23 @@ class InfeasibleSystem:
         object.__setattr__(self, "rows", _readonly(rows))
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _trusted(cls, dim: int, rows: np.ndarray, weights: np.ndarray,
+                 zero_offset: int) -> "InfeasibleSystem":
+        """The system over these arrays as they are, with no copy and no
+        check: ``rows`` must be a fresh float64 (n, dim) array with no zero
+        row and ``weights`` a fresh positive int64 (n,) array.  Both are
+        made read-only."""
+
+        rows.flags.writeable = False
+        weights.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "zero_offset", zero_offset)
+        return self
 
     @property
     def n_rows(self) -> int:
@@ -138,42 +174,52 @@ def build_system(ps: PointSet,
     product, so the depth is the same on unit rows; they keep the big-M
     bound, epsilon and the solver tolerances meaningful whatever the scale
     of the input coordinates.
+
+    The result is not re-validated by the ``InfeasibleSystem`` constructor:
+    its rows are a fresh array with no zero row (a row is kept only when
+    its largest magnitude is nonzero, and ``PointSet`` admits only finite
+    offsets from the query, so its unit scaling is finite and nonzero
+    too), and its weights are fresh positive counts.
     """
 
     raw = ps.points - ps.query[None, :]
-    nonzero = (raw != 0.0).any(axis=1)
-    zero_offset = int(raw.shape[0] - np.count_nonzero(nonzero))
-    kept = raw[nonzero]
-    # Pre-dividing by the largest coordinate keeps the norm of subnormal
-    # rows from underflowing to zero.
-    kept = kept / np.abs(kept).max(axis=1)[:, None]
+    # The largest magnitude of a row is both its zero test and its
+    # pre-scale; dividing by it first keeps the norm of subnormal rows from
+    # underflowing to zero.  Row-wise reductions here run across the d
+    # columns, one ufunc call per column: numpy reduces a short last axis
+    # several times slower, and a maximum is exact in any order.
+    peak = functools.reduce(np.maximum, np.abs(raw).T)
+    nonzero = peak != 0.0
+    zero_offset = int(len(peak) - np.count_nonzero(nonzero))
+    if zero_offset:
+        raw = raw[nonzero]
+        peak = peak[nonzero]
+    raw /= peak[:, None]
     # The batched 1 x d by d x 1 product is the same dot product that
     # np.linalg.norm takes of one row, so every row comes out bit for bit as
     # a per-row norm gives it; np.linalg.norm(axis=1) sums in another order.
-    norms = np.sqrt((kept[:, None, :] @ kept[:, :, None])[:, 0, 0])
-    kept = kept / norms[:, None]
+    raw /= np.sqrt((raw[:, None, :] @ raw[:, :, None])[:, 0, 0])[:, None]
 
-    rows = kept
-    weights = np.ones(len(kept), dtype=np.int64)
-    if fold_duplicates and len(kept) > 1:
+    rows = raw
+    weights = np.ones(len(raw), dtype=np.int64)
+    if fold_duplicates and len(raw) > 1:
         # Rows compare by their bit patterns, so 0.0 and -0.0 stay
         # distinct.  The sort is stable, so each run of equal rows starts
         # at its first occurrence, and the folded rows keep that order.
-        bits = kept.view(np.int64)
+        bits = raw.view(np.int64)
         order = np.lexsort(bits.T)
         ordered = bits[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
-        if len(starts) < len(kept):
+        new = functools.reduce(np.logical_or,
+                               (ordered[1:] != ordered[:-1]).T)
+        if not new.all():
+            starts = np.flatnonzero(np.concatenate(([True], new)))
             first = order[starts]
-            counts = np.diff(starts, append=len(kept))
+            counts = np.diff(starts, append=len(raw))
             keep = np.argsort(first)
-            rows = kept[first[keep]]
-            weights = counts[keep]
+            rows = raw[first[keep]]
+            weights = counts[keep].astype(np.int64, copy=False)
 
-    return InfeasibleSystem(dim=ps.dim, rows=rows,
-                            weights=weights,
-                            zero_offset=zero_offset)
+    return InfeasibleSystem._trusted(ps.dim, rows, weights, zero_offset)
 
 
 def compute_bigM(sys: InfeasibleSystem, c: float) -> float:

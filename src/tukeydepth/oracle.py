@@ -136,7 +136,7 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
     return best + sys.zero_offset
 
 
-def is_depth_zero(sys: InfeasibleSystem, feas_tol: float = 1e-9) -> bool:
+def is_depth_zero(sys: InfeasibleSystem) -> bool:
     """True exactly when some direction strictly separates every data point.
 
     One solve of the alternative LP over every row (``cuts._alternative_lp``):
@@ -149,5 +149,5 @@ def is_depth_zero(sys: InfeasibleSystem, feas_tol: float = 1e-9) -> bool:
         return False
     if sys.n_rows == 0:
         return True
-    sol = solve_lp(_alternative_lp(sys, list(range(sys.n_rows))), feas_tol)
+    sol = solve_lp(_alternative_lp(sys, list(range(sys.n_rows))))
     return sol.status is LpStatus.INFEASIBLE

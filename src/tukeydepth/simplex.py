@@ -88,6 +88,8 @@ _REFACTOR_EVERY = 100
 _DEGENERATE_BUDGET = 60
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-12
+# Reduced costs within this of zero count as dual feasible.
+_OPT_TOL = 1e-9
 # A product-form update with a pivot below this rebuilds the inverse instead.
 _SINGULAR_PIVOT = 1e-8
 # Entries of the entering column at or below this leave their row of the
@@ -212,7 +214,7 @@ class LpCounter:
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
-             opt_tol: float = 1e-9, counter: LpCounter | None = None,
+             counter: LpCounter | None = None,
              start: LpSolution | np.ndarray | None = None) -> LpSolution:
     """Solve the LP; status is always one of optimal/infeasible/unbounded.
 
@@ -229,7 +231,7 @@ def solve_lp(model: LpModel, feas_tol: float = 1e-9,
     systems with free variables it satisfies y >= 0, y.A = 0, y.b > 0.
     """
 
-    sol = _Simplex(model, feas_tol, opt_tol, start).solve()
+    sol = _Simplex(model, feas_tol, start).solve()
     if counter is not None:
         counter.record(sol)
     return sol
@@ -252,10 +254,9 @@ class _Simplex:
     all-slack basis B = I is always a valid start.
     """
 
-    def __init__(self, model: LpModel, feas_tol: float, opt_tol: float,
+    def __init__(self, model: LpModel, feas_tol: float,
                  start: LpSolution | np.ndarray | None = None):
         self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
         self.flips = 0
         self.handed_over = False
         if isinstance(start, LpSolution):
@@ -348,9 +349,8 @@ class _Simplex:
         except LpNumericsError:
             return False
         d = self.cost - self._duals(self.cost) @ self.A
-        tol = self.opt_tol
-        wrong = self.movable & ((((at_lo | free) & (d < -tol))
-                                 | ((at_up | free) & (d > tol))))
+        wrong = self.movable & ((((at_lo | free) & (d < -_OPT_TOL))
+                                 | ((at_up | free) & (d > _OPT_TOL))))
         if wrong.any():
             return False
         self.dual_cost = self.cost
@@ -371,13 +371,13 @@ class _Simplex:
 
         Only the columns whose bounds changed face the start checks again:
         every other column keeps its bounds, status and reduced cost, which
-        the earlier optimum left dual feasible (for a tolerance no tighter
-        than this solve's).  Returns False, setting nothing, when there is
-        no kernel, the models do not match, or a changed column is nonbasic
-        at an infinite bound or has a reduced cost of the wrong sign."""
+        the earlier optimum left dual feasible.  Returns False, setting
+        nothing, when there is no kernel, the models do not match, or a
+        changed column is nonbasic at an infinite bound or has a reduced
+        cost of the wrong sign."""
 
         k = earlier.kernel
-        if k is None or self.opt_tol < k.opt_tol:
+        if k is None:
             return False
         n, m0, m = k.n_struct, k.m, model.n_rows
         if (model.columns != n or m < m0 or model.senses[:m0] != k.senses
@@ -388,7 +388,6 @@ class _Simplex:
         lower = np.concatenate([model.lower, k.lower[n:]])
         upper = np.concatenate([model.upper, k.upper[n:]])
         rc = k.rc
-        tol = self.opt_tol
         moves = []
         changed = ((model.lower != k.lower[:n])
                    | (model.upper != k.upper[:n])).nonzero()[0]
@@ -398,11 +397,11 @@ class _Simplex:
                 continue
             lo, up = lower[j], upper[j]
             if s == _AT_LOWER:
-                if lo == -INF or (up > lo and rc[j] < -tol):
+                if lo == -INF or (up > lo and rc[j] < -_OPT_TOL):
                     return False
                 moves.append((j, lo))
             elif s == _AT_UPPER:
-                if up == INF or (up > lo and rc[j] > tol):
+                if up == INF or (up > lo and rc[j] > _OPT_TOL):
                     return False
                 moves.append((j, up))
             else:
@@ -490,8 +489,8 @@ class _Simplex:
 
     def _price(self, rc: np.ndarray, bland: bool) -> int:
         st = self.status
-        from_lower = ((st == _AT_LOWER) | (st == _FREE)) & (rc < -self.opt_tol)
-        from_upper = ((st == _AT_UPPER) | (st == _FREE)) & (rc > self.opt_tol)
+        from_lower = ((st == _AT_LOWER) | (st == _FREE)) & (rc < -_OPT_TOL)
+        from_upper = ((st == _AT_UPPER) | (st == _FREE)) & (rc > _OPT_TOL)
         eligible = (from_lower | from_upper) & self.movable
         if not eligible.any():
             return -1
@@ -619,7 +618,7 @@ class _Simplex:
                 # Half the optimality tolerance keeps the reduced costs that
                 # the relaxed ratio lets slip inside what the primal finish
                 # accepts as optimal.
-                limit = float(((room + 0.5 * self.opt_tol) / mag).min())
+                limit = float(((room + 0.5 * _OPT_TOL) / mag).min())
                 cands = ratio <= limit
                 best = float(mag[cands].max())
                 pick = int((cands & (mag >= 0.5 * best)).argmax())

@@ -76,6 +76,25 @@ def test_read_points_bad_number(tmp_path):
         read_points(f)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_point_is_a_usage_error(bad, tmp_path, capsys):
+    f = tmp_path / "nonfinite.txt"
+    f.write_text(f"3 2\n1 0\n0 {bad}\n-1 -1\n")
+    with pytest.raises(PointFileError, match="line 3: non-finite"):
+        read_points(f)
+    assert run(["depth", str(f), "--query-coords", "0", "0"]) == EXIT_USAGE
+    assert "line 3: non-finite" in capsys.readouterr().err
+
+
+# argparse takes "-inf" for an option, so only these two reach the reader.
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_query_coords_are_a_usage_error(bad, triangle_file,
+                                                   capsys):
+    rc = run(["depth", str(triangle_file), "--query-coords", "0", bad])
+    assert rc == EXIT_USAGE
+    assert "query has a non-finite" in capsys.readouterr().err
+
+
 def test_read_points_roundtrip(triangle_file, tmp_path):
     ps = read_points(triangle_file, query_coords=[0, 0])
     rewritten = tmp_path / "again.txt"

@@ -667,6 +667,21 @@ def test_screening_family_runs_no_lp(solve):
 
 
 @pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+def test_screening_direction_is_the_unit_scaled_row_mean(solve):
+    """On the screening family the returned direction is, bit for bit, the
+    scaled row mean divided by its ``np.linalg.norm``."""
+
+    for seed in (1, 2):
+        for k in range(40):
+            sys_ = screen_system(k, seed)
+            mean = sys_.weights @ sys_.rows
+            m = mean / np.min(sys_.rows @ mean)
+            res = solve(sys_)
+            assert res.cover == () and res.stats.lps == 0
+            assert res.direction.tobytes() == (m / np.linalg.norm(m)).tobytes()
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
 def test_query_on_data_points_closes_at_the_row_mean(solve):
     """Points equal to the query count in every halfspace; when the rest
     are separable the depth is their number, with no LP."""

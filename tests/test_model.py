@@ -73,9 +73,10 @@ def _build_system_per_row(ps: PointSet, fold_duplicates: bool):
             np.array(weights, dtype=np.int64), zero_offset)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5])
-@pytest.mark.parametrize("fold", [True, False])
-def test_build_system_matches_per_row_reference(dim, fold):
+def _reference_clouds(dim: int):
+    """Clouds with zero rows, subnormal rows, repeated rows and wide scales,
+    paired with their queries."""
+
     rng = np.random.default_rng(40 + dim)
     clouds = []
     # At the origin the tiny offsets below stay subnormal rows; elsewhere
@@ -95,13 +96,42 @@ def test_build_system_matches_per_row_reference(dim, fold):
     for query in (np.zeros(dim), rng.normal(size=dim)):
         clouds.append((np.tile(query + rng.normal(size=dim), (7, 1)), query))
         clouds.append((query + rng.normal(size=(30, dim)), query))
-    for pts, query in clouds:
+    return clouds
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("fold", [True, False])
+def test_build_system_matches_per_row_reference(dim, fold):
+    for pts, query in _reference_clouds(dim):
         ps = PointSet(dim, pts, query)
         sys_ = build_system(ps, fold_duplicates=fold)
         rows, weights, zero_offset = _build_system_per_row(ps, fold)
         assert np.array_equal(sys_.rows, rows)
         assert np.array_equal(sys_.weights, weights)
         assert sys_.zero_offset == zero_offset
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("fold", [True, False])
+def test_build_system_result_passes_the_public_checks(dim, fold):
+    """``build_system`` hands its arrays over without the constructor's
+    copy and checks; they are what those checks would accept and give the
+    same bytes as a rebuild through the public constructor."""
+
+    for pts, query in _reference_clouds(dim):
+        sys_ = build_system(PointSet(dim, pts, query), fold_duplicates=fold)
+        assert sys_.rows.dtype == np.float64 and sys_.rows.ndim == 2
+        assert sys_.weights.dtype == np.int64
+        assert not sys_.rows.flags.writeable
+        assert not sys_.weights.flags.writeable
+        assert (sys_.rows != 0.0).any(axis=1).all()
+        assert (sys_.weights > 0).all()
+        again = InfeasibleSystem(dim, sys_.rows, sys_.weights,
+                                 sys_.zero_offset)
+        assert again.rows.tobytes() == sys_.rows.tobytes()
+        assert again.rows.shape == sys_.rows.shape
+        assert again.weights.tobytes() == sys_.weights.tobytes()
+        assert again.zero_offset == sys_.zero_offset
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,11 +182,33 @@ def test_pointset_validation():
         PointSet(2, [[1.0, 2.0]], [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pointset_rejects_non_finite_coordinates(bad):
+    pts = [[1.0, 2.0], [3.0, bad], [0.5, 0.5], [bad, bad]]
+    with pytest.raises(ValueError, match="point 1 and 1 more"):
+        PointSet(2, pts, [0.0, 0.0])
+    with pytest.raises(ValueError, match="point 0 has"):
+        PointSet(1, [[bad]], [0.0])
+    with pytest.raises(ValueError, match="query"):
+        PointSet(2, [[1.0, 2.0]], [bad, 0.0])
+
+
+def test_pointset_rejects_an_offset_that_overflows():
+    with pytest.raises(ValueError, match="point 1 has"):
+        PointSet(2, [[0.0, 1.0], [1e308, 0.0], [-1e308, 0.0]], [-1e308, 0.0])
+    ps = PointSet(2, [[1e308, 0.0], [-1e308, 1.0]], [0.0, 0.0])
+    assert build_system(ps).n_rows == 2
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         InfeasibleSystem(2, [[0.0, 0.0]], [1])
     with pytest.raises(ValueError):
         InfeasibleSystem(2, [[1.0, 0.0]], [0])
+    with pytest.raises(ValueError):
+        InfeasibleSystem(2, [[1.0, 0.0]], [-1])
+    with pytest.raises(ValueError):
+        InfeasibleSystem(2, [[1.0, 0.0], [0.0, 1.0]], [1])
     with pytest.raises(ValueError):
         InfeasibleSystem(2, [[1.0, 0.0]], [1], zero_offset=-1)
 

@@ -348,7 +348,7 @@ def test_forced_kernel_paths(forcing, monkeypatch):
     changed = 0
     resynced = 0
     for model, before in zip(models, default):
-        kernel = simplex._Simplex(model, 1e-9, 1e-9)
+        kernel = simplex._Simplex(model, 1e-9)
         mine = kernel.solve()
         # The basic values handed back solve B x_B = b - N x_N; when a
         # refactorization followed the last pivot, they are the recomputed
