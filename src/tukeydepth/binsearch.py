@@ -27,15 +27,16 @@ from .simplex import LpCounter
 __all__ = ["solve_depth_binary"]
 
 
-def _box_scaled_margin(sys: InfeasibleSystem, cover, direction: np.ndarray,
-                       c: float) -> float:
-    """Smallest non-cover row margin after scaling the direction into the
-    [-c, c] box, i.e. an epsilon the fixed-epsilon program could safely use."""
+def _box_scaled_margin(sys: InfeasibleSystem, cover,
+                       direction: np.ndarray) -> float:
+    """Smallest non-cover row margin after scaling the direction onto the
+    boundary of the [-1, 1]^d box, i.e. an epsilon the fixed-epsilon program
+    could safely use."""
 
     keep = _non_cover(sys, cover)
     if not keep.any() or not np.any(direction):
         return 0.0
-    scaled = direction * (c / np.max(np.abs(direction)))
+    scaled = direction * (1.0 / np.max(np.abs(direction)))
     return float(np.min(sys.rows[keep] @ scaled))
 
 
@@ -80,7 +81,7 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
                 exact = False
                 break
             probe_cfg = replace(cfg, time_limit=remaining)
-        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
+        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.epsilon),
                        MipForm.GUESS, guess=guess)
         if log is not None:
             started, nodes0 = time.monotonic(), stats.nodes
@@ -104,7 +105,6 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
 
     result = _finalize(sys, best_cover, best_direction, stats, cfg, exact,
                        upper if exact else lower, 0.0, counter)
-    result.epsilon = _box_scaled_margin(sys, best_cover, result.direction,
-                                        cfg.c)
+    result.epsilon = _box_scaled_margin(sys, best_cover, result.direction)
     result.stats.wall_time = time.monotonic() - t0
     return result

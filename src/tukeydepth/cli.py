@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, fields
@@ -127,20 +128,7 @@ def _result_payload(result: DepthResult) -> dict:
         "exact": result.exact,
         "lower_bound": result.lower_bound,
         "zero_offset": result.zero_offset,
-        "stats": {
-            "nodes": result.stats.nodes,
-            "lps": result.stats.lps,
-            "dual_pivots": result.stats.dual_pivots,
-            "primal_pivots": result.stats.primal_pivots,
-            "cold_starts": result.stats.cold_starts,
-            "refactorized_starts": result.stats.refactorized_starts,
-            "derived_starts": result.stats.derived_starts,
-            "cuts": result.stats.cuts,
-            "wall_time": result.stats.wall_time,
-            "heuristic_weight": result.stats.heuristic_weight,
-            "guesses": result.stats.guesses,
-            "guess_values": result.stats.guess_values,
-        },
+        "stats": asdict(result.stats),
     }
 
 
@@ -203,7 +191,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_export(args) -> int:
     sys_ = _load_system(args)
-    bounds = ParamBounds.for_system(sys_, args.c, args.epsilon)
+    bounds = ParamBounds.for_system(sys_, args.epsilon)
     if args.form == "guess":
         mip = MipModel(sys_, bounds, MipForm.GUESS, guess=args.guess)
     else:
@@ -258,7 +246,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--select", dest="node_selection",
                    choices=["depth-first", "best-first"])
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--c", type=float)
     p.add_argument("--cert-tol", type=float)
     p.add_argument("--time-limit", type=float)
     p.add_argument("--node-limit", type=int)
@@ -270,6 +257,18 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Options are taken only by their full names: with abbreviations on,
+    a removed flag could still parse as the prefix of another one (``--c``
+    as ``--cert-tol``).  Subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        # argparse takes a token for a number only in plain decimal form,
+        # so "-1e-1" would read as an option; accept every negative float
+        # literal with digits.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -280,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tukeydepth",
                      description="Exact halfspace depth via branch and cut.")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = EngineConfig()
 
     p_depth = sub.add_parser("depth", help="branch-and-cut depth")
     _add_instance_args(p_depth)
@@ -305,9 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("out", help="target .mps path")
     p_exp.add_argument("--form", choices=["depth", "guess"], default="depth")
     p_exp.add_argument("--guess", type=int, default=1)
-    p_exp.add_argument("--epsilon", type=float)
-    p_exp.add_argument("--c", type=float)
-    p_exp.set_defaults(epsilon=defaults.epsilon, c=defaults.c)
+    p_exp.add_argument("--epsilon", type=float,
+                       default=EngineConfig().epsilon)
 
     p_bench = sub.add_parser("bench", help="solve a directory of instances")
     p_bench.add_argument("dir")

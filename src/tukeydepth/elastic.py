@@ -104,19 +104,16 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                            sol)
 
 
-def _fast_candidates(sol: ElasticSolution, alive: list[int],
-                     k: int) -> list[int]:
-    """Top-k rows by violation x |sensitivity| among violated rows plus
-    top-k by |sensitivity| among satisfied rows; ties go to the lower index."""
+def _fast_candidates(sol: ElasticSolution, alive: list[int]) -> list[int]:
+    """The violated row with the largest violation x |sensitivity| and the
+    satisfied row with the largest |sensitivity|; ties go to the lower
+    index."""
 
-    viol = [(j, sol.violations[j] * abs(sol.sensitivities[j]))
+    viol = [(-sol.violations[j] * abs(sol.sensitivities[j]), j)
             for j in alive if sol.violations[j] > VIOL_TOL]
-    sat = [(j, abs(sol.sensitivities[j]))
+    sat = [(-abs(sol.sensitivities[j]), j)
            for j in alive if sol.violations[j] <= VIOL_TOL]
-    viol.sort(key=lambda t: (-t[1], t[0]))
-    sat.sort(key=lambda t: (-t[1], t[0]))
-    picked = [j for j, _ in viol[:k]] + [j for j, _ in sat[:k]]
-    return sorted(set(picked))
+    return sorted({min(group)[1] for group in (viol, sat) if group})
 
 
 def _mean_direction(sys: InfeasibleSystem):
@@ -174,7 +171,7 @@ def chinneck_cover(sys: InfeasibleSystem, counter: LpCounter | None = None
         best_j = -1
         best_sinf = INF
         best_resolve: ElasticSolution | None = None
-        for j in _fast_candidates(sol, alive, 1):
+        for j in _fast_candidates(sol, alive):
             trial = solve_elastic(sys, cover | {j}, counter, start=sol.lp)
             if trial.sinf < best_sinf - 1e-12:
                 best_j, best_sinf, best_resolve = j, trial.sinf, trial

@@ -75,7 +75,9 @@ class MipModel:
     Depth form: minimize sum(w_j s_j) subject to <a_j, x> + M s_j >= epsilon.
     Guess form: minimize -epsilon subject to <a_j, x> + M s_j - epsilon >= 0
     and sum(w_j s_j) <= guess, with the epsilon variable in [0, M] so the
-    relaxation stays bounded.
+    relaxation stays bounded.  In both forms x lies in the box [-1, 1]^d and
+    the s_j are binary.  ``relaxation`` is the one definition of this
+    program: the solver and the MPS export both read it.
     """
 
     sys: InfeasibleSystem
@@ -156,8 +158,7 @@ class MipModel:
 
         lower = np.zeros(ncol)
         upper = np.ones(ncol)
-        lower[:d] = -self.bounds.c
-        upper[:d] = self.bounds.c
+        lower[:d] = -1.0
         for j in fixed1:
             lower[d + j] = 1.0
         for j in fixed0:
@@ -258,17 +259,16 @@ class EngineConfig:
     branch_rule: str = "greedy"            # "greedy" | "strong"
     node_selection: str = "depth-first"    # "depth-first" | "best-first"
     epsilon: float = 1e-5
-    c: float = 1.0
     cert_tol: float = 1e-9
     time_limit: float | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
-        # ParamBounds rejects these as well, but is only built once a tree
+        # ParamBounds rejects it as well, but is only built once a tree
         # runs, and most solves end at the heuristic, many of them at its
         # row-mean check before any LP.
-        if not (self.c > 0 and self.epsilon > 0):
-            raise ValueError("c and epsilon must be positive")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +898,7 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     stats.heuristic_weight = weight
     exact, lower = True, weight
     if weight > 1:
-        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.c, cfg.epsilon),
+        mip = MipModel(sys, ParamBounds.for_system(sys, cfg.epsilon),
                        MipForm.DEPTH)
         engine = BranchCutEngine(mip, cfg, pool if pool is not None
                                  else CutPool(), counter, stats, root)

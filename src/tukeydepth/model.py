@@ -133,27 +133,29 @@ class InfeasibleSystem:
 class ParamBounds:
     """Big-M / epsilon configuration for one system.
 
-    ``c`` bounds each coordinate of the direction variable in the MIP box
-    [-c, c]; ``bigM`` deactivates a row when its binary is 1; ``epsilon`` is
-    the strict-inequality surrogate on the right-hand side.
+    The direction variable of the MIP lives in the box [-1, 1]^d; ``bigM``
+    deactivates a row when its binary is 1; ``epsilon`` is the
+    strict-inequality surrogate on the right-hand side.  A box of another
+    half-width c would only rescale the direction: substituting x = c x'
+    maps it to this box with epsilon / c, the same binaries and the same
+    objective.
     """
 
-    c: float
     bigM: float
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if not (self.c > 0 and self.bigM > 0 and self.epsilon > 0):
-            raise ValueError("c, bigM and epsilon must be positive")
+        if not (self.bigM > 0 and self.epsilon > 0):
+            raise ValueError("bigM and epsilon must be positive")
 
     @classmethod
-    def for_system(cls, sys: InfeasibleSystem, c: float = 1.0,
+    def for_system(cls, sys: InfeasibleSystem,
                    epsilon: float = 1e-5) -> "ParamBounds":
-        return cls(c=c, bigM=compute_bigM(sys, c), epsilon=epsilon)
+        return cls(bigM=compute_bigM(sys), epsilon=epsilon)
 
     @classmethod
-    def with_lattice_epsilon(cls, sys: InfeasibleSystem, m_box: float,
-                             c: float = 1.0) -> "ParamBounds":
+    def with_lattice_epsilon(cls, sys: InfeasibleSystem,
+                             m_box: float) -> "ParamBounds":
         """Conservative variant for integral data inside [-m_box, m_box]^d;
         epsilon comes from the lattice distance bound instead of the
         practical default (far too small to be useful in high dimension)."""
@@ -161,8 +163,8 @@ class ParamBounds:
         if sys.n_rows == 0:
             raise ValueError("empty system")
         q_min = float(np.min(np.linalg.norm(sys.rows, axis=1)))
-        return cls(c=c, bigM=compute_bigM(sys, c),
-                   epsilon=lattice_epsilon(m_box, sys.dim, c, q_min))
+        return cls(bigM=compute_bigM(sys),
+                   epsilon=lattice_epsilon(m_box, sys.dim, q_min))
 
 
 def build_system(ps: PointSet,
@@ -222,19 +224,20 @@ def build_system(ps: PointSet,
     return InfeasibleSystem._trusted(ps.dim, rows, weights, zero_offset)
 
 
-def compute_bigM(sys: InfeasibleSystem, c: float) -> float:
-    """sqrt(d * c^2) times the largest row norm; with unit rows this is
-    sqrt(d) * c, keeping M and epsilon a few orders of magnitude apart."""
+def compute_bigM(sys: InfeasibleSystem) -> float:
+    """sqrt(d) times the largest row norm, the largest |<a_j, x>| over the
+    box [-1, 1]^d; with unit rows this is sqrt(d), keeping M and epsilon a
+    few orders of magnitude apart."""
 
     if sys.n_rows == 0:
         raise ValueError("empty system")
     max_norm = float(np.max(np.linalg.norm(sys.rows, axis=1)))
-    return math.sqrt(sys.dim * c * c) * max_norm
+    return math.sqrt(sys.dim) * max_norm
 
 
-def lattice_epsilon(m_box: float, d: int, c: float,
-                    q_min_norm: float) -> float:
-    """Conservative epsilon from the integer-lattice distance bound.
+def lattice_epsilon(m_box: float, d: int, q_min_norm: float) -> float:
+    """Conservative epsilon from the integer-lattice distance bound, for the
+    direction box [-1, 1]^d.
 
     The closest hyperplane spanned by lattice points inside the box
     [-m_box, m_box]^d keeps distance h = (2 * m_box * sqrt(d))^-(d-1) from
@@ -244,8 +247,8 @@ def lattice_epsilon(m_box: float, d: int, c: float,
     certified alternative to the practical default.
     """
 
-    if not (m_box > 0 and d >= 1 and c > 0 and q_min_norm > 0):
+    if not (m_box > 0 and d >= 1 and q_min_norm > 0):
         raise ValueError("all arguments must be positive")
     h = (2.0 * m_box * math.sqrt(d)) ** (-(d - 1))
     sin_theta = min(1.0, h / (m_box * math.sqrt(d)))
-    return math.sqrt(d * c * c) * q_min_norm * sin_theta
+    return math.sqrt(d) * q_min_norm * sin_theta

@@ -1,15 +1,23 @@
-"""Fixed-format MPS export of the depth and guess integer programs.
+"""Fixed-format MPS export of the big-M integer programs.
 
-Column order is deterministic (x_1..x_d, then the binaries s_1..s_n, then
-the epsilon variable in guess form), binaries sit between INTORG/INTEND
-markers and also carry BV bounds, and values are written with shortest
-round-tripping precision so a parse of our own output reproduces the model
-bit-exactly.  Names stay within eight characters for fixed-format readers.
+The writer renders ``MipModel.relaxation()``, the one definition of the
+program, and adds only what an LP lacks: the binaries sit between
+INTORG/INTEND markers and carry BV bounds.  Every coefficient, sense,
+right-hand side and bound comes from that LP, so this module knows nothing
+of how the program is built.  Columns keep the LP's order and are named
+X1.. (the direction), S1.. (the binaries) and EPS (the margin column, where
+there is one); rows are named R1.. (one per binary) and CARD (the
+cardinality row, where there is one).  Zero coefficients, zero right-hand
+sides and zero lower bounds are left out, and values are written with
+shortest round-tripping precision so a parse of our own output reproduces
+the model bit-exactly.  Names stay within eight characters for
+fixed-format readers.
 """
 
 from __future__ import annotations
 
-from .engine import MipForm, MipModel
+from .engine import MipModel
+from .simplex import Sense
 
 __all__ = ["write_mps", "render_mps"]
 
@@ -52,66 +60,55 @@ def _col_entries(name: str, entries: list[tuple[str, float]]) -> list[str]:
     return lines
 
 
+_SENSE = {Sense.GE: "G", Sense.LE: "L", Sense.EQ: "E"}
+
+
 def render_mps(mip: MipModel, name: str = "TUKDEPTH") -> str:
     """Render the integer program as MPS text."""
 
-    sys_ = mip.sys
+    lp = mip.relaxation()
     d, n = mip.dim, mip.n_binaries
-    M = mip.bounds.bigM
-    guess_form = mip.form is MipForm.GUESS
-
-    x_names = [f"X{i + 1}" for i in range(d)]
-    s_names = [f"S{j + 1}" for j in range(n)]
-    row_names = [f"R{j + 1}" for j in range(n)]
+    col_names = ([f"X{i + 1}" for i in range(d)]
+                 + [f"S{j + 1}" for j in range(n)]
+                 + ["EPS"] * (len(lp.objective) - d - n))
+    row_names = ([f"R{j + 1}" for j in range(n)]
+                 + ["CARD"] * (len(lp.rhs) - n))
 
     lines = [_line((0, "NAME"), (_F3, name)), "ROWS",
              _line((_F1, "N"), (_F2, "COST"))]
-    for rn in row_names:
-        lines.append(_line((_F1, "G"), (_F2, rn)))
-    if guess_form:
-        lines.append(_line((_F1, "L"), (_F2, "CARD")))
+    for rn, sense in zip(row_names, lp.senses):
+        lines.append(_line((_F1, _SENSE[sense]), (_F2, rn)))
+
+    def column(col: int) -> list[str]:
+        values = [lp.objective[col], *lp.row_coeffs[:, col]]
+        return _col_entries(col_names[col], [
+            (rn, v) for rn, v in zip(["COST", *row_names], values)
+            if v != 0.0])
 
     lines.append("COLUMNS")
-    for i, xn in enumerate(x_names):
-        entries = [(row_names[j], sys_.rows[j, i]) for j in range(n)
-                   if sys_.rows[j, i] != 0.0]
-        lines += _col_entries(xn, entries)
-
-    lines.append(_line((_F2, "MARKER"), (_F3, "'MARKER'"),
-                       (_F4, "'INTORG'")))
-    for j, sn in enumerate(s_names):
-        entries = [(row_names[j], M)]
-        if guess_form:
-            entries.append(("CARD", float(sys_.weights[j])))
-        else:
-            entries.insert(0, ("COST", float(sys_.weights[j])))
-        lines += _col_entries(sn, entries)
-    lines.append(_line((_F2, "MARKER"), (_F3, "'MARKER'"),
-                       (_F4, "'INTEND'")))
-
-    if guess_form:
-        entries = [("COST", -1.0)] + [(rn, -1.0) for rn in row_names]
-        lines += _col_entries("EPS", entries)
+    for col in range(d):
+        lines += column(col)
+    lines.append(_line((_F2, "MARKER"), (_F3, "'MARKER'"), (_F4, "'INTORG'")))
+    for col in range(d, d + n):
+        lines += column(col)
+    lines.append(_line((_F2, "MARKER"), (_F3, "'MARKER'"), (_F4, "'INTEND'")))
+    for col in range(d + n, len(col_names)):
+        lines += column(col)
 
     lines.append("RHS")
-    if guess_form:
-        rhs_entries = [("CARD", float(mip.guess))]
-    else:
-        rhs_entries = [(rn, mip.bounds.epsilon) for rn in row_names]
-    lines += _col_entries("RHS", rhs_entries)
+    lines += _col_entries("RHS", [(rn, v) for rn, v in zip(row_names, lp.rhs)
+                                  if v != 0.0])
 
     lines.append("BOUNDS")
-    c = mip.bounds.c
-    for xn in x_names:
-        lines.append(_line((_F1, "LO"), (_F2, "BND"), (_F3, xn),
-                           (_F4, _num(-c))))
-        lines.append(_line((_F1, "UP"), (_F2, "BND"), (_F3, xn),
-                           (_F4, _num(c))))
-    for sn in s_names:
-        lines.append(_line((_F1, "BV"), (_F2, "BND"), (_F3, sn)))
-    if guess_form:
-        lines.append(_line((_F1, "UP"), (_F2, "BND"), (_F3, "EPS"),
-                           (_F4, _num(M))))
+    for col, cn in enumerate(col_names):
+        if d <= col < d + n:
+            lines.append(_line((_F1, "BV"), (_F2, "BND"), (_F3, cn)))
+            continue
+        if lp.lower[col] != 0.0:
+            lines.append(_line((_F1, "LO"), (_F2, "BND"), (_F3, cn),
+                               (_F4, _num(lp.lower[col]))))
+        lines.append(_line((_F1, "UP"), (_F2, "BND"), (_F3, cn),
+                           (_F4, _num(lp.upper[col]))))
 
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ import pytest
 from tukeydepth import cli, elastic
 from tukeydepth.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVE, EXIT_USAGE,
                             PointFileError, read_points, run)
-from tukeydepth.engine import EngineConfig
+from tukeydepth.engine import EngineConfig, SolveStats
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +95,26 @@ def test_non_finite_query_coords_are_a_usage_error(bad, triangle_file,
     assert "query has a non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent, plain", [
+    ("-1e-1", "-0.1"), ("-2E+0", "-2.0"), ("-.5e1", "-5")])
+def test_negative_query_coords_in_exponent_form(exponent, plain, square_file,
+                                                capsys):
+    """A negative coordinate in exponent form is a value, not an option,
+    and gives the depth of the same value written as a plain decimal."""
+
+    printed = []
+    for value in (exponent, plain):
+        rc = run(["depth", str(square_file), "--query-coords", value, "0"])
+        assert rc == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+def test_negative_infinite_query_coord_is_a_usage_error(triangle_file):
+    rc = run(["depth", str(triangle_file), "--query-coords", "-inf", "0"])
+    assert rc == EXIT_USAGE
+
+
 def test_read_points_roundtrip(triangle_file, tmp_path):
     ps = read_points(triangle_file, query_coords=[0, 0])
     rewritten = tmp_path / "again.txt"
@@ -153,6 +173,15 @@ def test_json_output(square_file, tmp_path):
     stats = payload["stats"]
     assert stats["dual_pivots"] > 0
     assert stats["primal_pivots"] == 0
+
+
+def test_json_stats_are_the_solve_stats_fields(square_file, tmp_path):
+    out = tmp_path / "res.json"
+    rc = run(["binsearch", str(square_file), "--query-coords", "0", "0",
+              "--json", str(out)])
+    assert rc == EXIT_OK
+    stats = json.loads(out.read_text())["stats"]
+    assert list(stats) == [f.name for f in fields(SolveStats)]
 
 
 def test_json_counts_lps_by_start(tmp_path, capsys):
@@ -301,16 +330,16 @@ def test_other_commands_take_config_defaults(triangle_file, monkeypatch):
     """A bare ``export-mps`` reads its engine values from
     ``EngineConfig()``, so they cannot drift from ``depth``."""
 
-    cfg = EngineConfig(epsilon=2e-4, c=3.0)
+    cfg = EngineConfig(epsilon=2e-4)
     monkeypatch.setattr(cli, "EngineConfig", lambda: cfg)
     parser = cli._build_parser()
     args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
-    assert (args.epsilon, args.c) == (2e-4, 3.0)
+    assert args.epsilon == 2e-4
     monkeypatch.undo()
     parser = cli._build_parser()
     defaults = EngineConfig()
     args = parser.parse_args(["export-mps", str(triangle_file), "o.mps"])
-    assert (args.epsilon, args.c) == (defaults.epsilon, defaults.c)
+    assert args.epsilon == defaults.epsilon
 
 
 # Flags of tuning values that are now engine constants, each with the
@@ -320,23 +349,28 @@ REMOVED_FLAGS = [("--strong-k", "4"), ("--cut-improve", "1e-3"),
                  ("--rounding-iteration", "5"), ("--feas-tol", "1e-9"),
                  ("--viol-tol", "1e-7"), ("--heuristic-variant", "fast"),
                  ("--heuristic-k", "1")]
+# The box half-width --c went from every command that took it: the
+# direction box is always [-1, 1]^d.
+BOX_FLAG_COMMANDS = ["depth", "binsearch", "bench", "export-mps"]
 
 
 @pytest.mark.parametrize("command, flag, value", [
     ("depth", flag, value) for flag, value in REMOVED_FLAGS] + [
-    ("heuristic", flag, value) for flag, value in REMOVED_FLAGS[-2:]])
+    ("heuristic", flag, value) for flag, value in REMOVED_FLAGS[-2:]] + [
+    (command, "--c", "1") for command in BOX_FLAG_COMMANDS])
 def test_removed_flag_is_usage_error(command, flag, value, square_file,
-                                     capsys):
-    rc = run([command, str(square_file), "--query-coords", "0", "0", flag,
-              value])
+                                     tmp_path, capsys):
+    out = [str(tmp_path / "o.mps")] if command == "export-mps" else []
+    rc = run([command, str(square_file), *out, "--query-coords", "0", "0",
+              flag, value])
     assert rc == EXIT_USAGE
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("instance, argv, message", [
     ("square_file", ["depth", "--epsilon", "0"], "must be positive"),
-    ("square_file", ["binsearch", "--c", "-1"], "must be positive"),
-    ("triangle_file", ["depth", "--c", "0"], "must be positive"),
+    ("square_file", ["binsearch", "--epsilon", "-1"], "must be positive"),
+    ("triangle_file", ["depth", "--epsilon", "-1"], "must be positive"),
     ("triangle_file", ["binsearch", "--epsilon", "0"], "must be positive"),
 ])
 def test_bad_engine_value_is_usage_error(instance, argv, message, request,

@@ -76,15 +76,6 @@ def test_cover_feasibility_and_admissibility(seed):
     assert len(cover) <= sys_.n_rows
 
 
-def test_fast_candidates_contain_full_with_big_k(simplex_sys, square_sys):
-    for sys_ in (simplex_sys, square_sys):
-        sol = solve_elastic(sys_, set())
-        alive = list(range(sys_.n_rows))
-        fast = _fast_candidates(sol, alive, sys_.n_rows)
-        full = [j for j in alive if sol.violations[j] > VIOL_TOL]
-        assert set(full) <= set(fast)
-
-
 def _top_candidates(sol, alive):
     """The violated row with the largest violation x |sensitivity| and the
     satisfied row with the largest |sensitivity|, each the lowest index
@@ -125,7 +116,7 @@ def test_chinneck_tries_the_top_candidates(seed, monkeypatch):
         step = solved[key]
         alive = [j for j in range(sys_.n_rows) if j not in step.removed]
         expected = _top_candidates(step, alive)
-        assert _fast_candidates(step, alive, 1) == sorted(expected)
+        assert _fast_candidates(step, alive) == sorted(expected)
         assert removed_sets == {step.removed | {j} for j in expected}
 
 

@@ -29,7 +29,7 @@ from conftest import (count_warm_starts, gaussian_system, screen_system,
 
 def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
     cfg = cfg or EngineConfig()
-    bounds = ParamBounds.for_system(sys_, cfg.c, cfg.epsilon)
+    bounds = ParamBounds.for_system(sys_, cfg.epsilon)
     return MipModel(sys_, bounds, form, guess=guess)
 
 
@@ -38,12 +38,12 @@ def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
 REMOVED_FIELDS = {"strong_k": 4, "cut_improve": 1e-3, "max_cut_rounds": 20,
                   "rounding_depth": 7, "rounding_iteration": 5,
                   "feas_tol": 1e-9, "viol_tol": 1e-7,
-                  "heuristic_variant": "fast", "heuristic_k": 1}
+                  "heuristic_variant": "fast", "heuristic_k": 1, "c": 1.0}
 
 
 def test_engine_config_keeps_only_caller_knobs():
     assert {f.name for f in fields(EngineConfig)} == {
-        "branch_rule", "node_selection", "epsilon", "c", "cert_tol",
+        "branch_rule", "node_selection", "epsilon", "cert_tol",
         "time_limit", "node_limit"}
     for name, value in REMOVED_FIELDS.items():
         with pytest.raises(TypeError):

@@ -221,21 +221,21 @@ def test_arrays_readonly():
 
 def test_compute_bigM_examples():
     s1 = InfeasibleSystem(2, [[2.0, 0.0]], [1])
-    assert compute_bigM(s1, 1.0) == pytest.approx(math.sqrt(2) * 2, rel=1e-12)
+    assert compute_bigM(s1) == pytest.approx(math.sqrt(2) * 2, rel=1e-12)
     s2 = build_system(PointSet(5, np.eye(5) * 3.0, np.zeros(5)))
-    assert compute_bigM(s2, 1.0) == pytest.approx(math.sqrt(5), rel=1e-12)
+    assert compute_bigM(s2) == pytest.approx(math.sqrt(5), rel=1e-12)
     s3 = InfeasibleSystem(2, [[1.0, 0.0], [0.0, 3.0]], [1, 1])
-    assert compute_bigM(s3, 2.0) == pytest.approx(math.sqrt(8) * 3, rel=1e-12)
+    assert compute_bigM(s3) == pytest.approx(math.sqrt(2) * 3, rel=1e-12)
 
 
 def test_compute_bigM_empty():
     empty = InfeasibleSystem(2, np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="empty system"):
-        compute_bigM(empty, 1.0)
+        compute_bigM(empty)
 
 
 def test_lattice_epsilon_planar():
-    eps = lattice_epsilon(1.0, 2, 1.0, 1.0)
+    eps = lattice_epsilon(1.0, 2, 1.0)
     h = 1.0 / (2 * math.sqrt(2))
     assert eps == pytest.approx(math.sqrt(2) * (h / math.sqrt(2)), rel=1e-12)
     assert eps == pytest.approx(0.35355, abs=1e-5)
@@ -243,31 +243,31 @@ def test_lattice_epsilon_planar():
 
 def test_lattice_epsilon_one_dimensional():
     # Exponent zero makes h = 1; the sine is clamped at 1.
-    assert lattice_epsilon(0.5, 1, 2.0, 3.0) == pytest.approx(2.0 * 3.0)
-    assert lattice_epsilon(4.0, 1, 1.0, 1.0) == pytest.approx(0.25)
+    assert lattice_epsilon(0.5, 1, 3.0) == pytest.approx(3.0)
+    assert lattice_epsilon(4.0, 1, 1.0) == pytest.approx(0.25)
 
 
 def test_lattice_epsilon_small_in_dim3():
     h = (20 * math.sqrt(3)) ** -2
     assert h == pytest.approx(8.33e-4, rel=1e-2)
-    eps = lattice_epsilon(10.0, 3, 1.0, 1.0)
+    eps = lattice_epsilon(10.0, 3, 1.0)
     assert eps == pytest.approx(math.sqrt(3) * h / (10 * math.sqrt(3)),
                                 rel=1e-12)
 
 
 def test_param_bounds_validation():
     with pytest.raises(ValueError):
-        ParamBounds(c=0.0, bigM=1.0)
+        ParamBounds(bigM=0.0)
     with pytest.raises(ValueError):
-        ParamBounds(c=1.0, bigM=1.0, epsilon=-1e-9)
+        ParamBounds(bigM=1.0, epsilon=-1e-9)
 
 
 def test_param_bounds_lattice_constructor():
     sys_ = build_system(PointSet(2, [[3, 0], [0, 1], [-2, -2]], [0, 0]))
     b = ParamBounds.with_lattice_epsilon(sys_, m_box=3.0)
     assert b.epsilon == pytest.approx(
-        lattice_epsilon(3.0, 2, 1.0, 1.0), rel=1e-12)
-    assert b.bigM == pytest.approx(compute_bigM(sys_, 1.0), rel=1e-12)
+        lattice_epsilon(3.0, 2, 1.0), rel=1e-12)
+    assert b.bigM == pytest.approx(compute_bigM(sys_), rel=1e-12)
 
 
 def test_scaling_preserves_depth():

@@ -5,6 +5,7 @@ import pytest
 from tukeydepth.engine import MipForm, MipModel
 from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.mps import render_mps, write_mps
+from tukeydepth.simplex import Sense
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,8 +93,8 @@ def test_roundtrip_values_exact(simplex_mip):
         assert parsed["rhs"][f"R{j+1}"] == simplex_mip.bounds.epsilon
     for i in range(sys_.dim):
         kinds = dict(parsed["bounds"][f"X{i+1}"])
-        assert kinds["LO"] == -simplex_mip.bounds.c
-        assert kinds["UP"] == simplex_mip.bounds.c
+        assert kinds["LO"] == -1.0
+        assert kinds["UP"] == 1.0
 
 
 def test_guess_form_structure(simplex_sys):
@@ -120,6 +121,43 @@ def test_weighted_objective_coefficients():
     assert parsed["cols"]["S1"]["COST"] == 3.0
     assert parsed["cols"]["S2"]["COST"] == 2.0
     assert parsed["cols"]["S3"]["COST"] == 1.0
+
+
+@pytest.mark.parametrize("form, guess", [(MipForm.DEPTH, None),
+                                         (MipForm.GUESS, 3)])
+def test_render_is_the_relaxation(form, guess):
+    """Every entry of the text is the relaxation's own: objective and row
+    coefficients (zeros left out), senses, right-hand sides (zeros left
+    out) and bounds, with exactly the binaries between the markers."""
+
+    pts = [[1, 0]] * 3 + [[0, 1]] * 2 + [[-1, -1], [2, 1], [-1, 3]] * 2
+    sys_ = build_system(PointSet(2, pts, [0, 0]))
+    assert sorted(sys_.weights) == [2, 2, 2, 2, 3]
+    mip = MipModel(sys_, ParamBounds.for_system(sys_), form, guess=guess)
+    lp = mip.relaxation()
+    parsed = parse_mps(render_mps(mip))
+    d, n, extra = mip.dim, mip.n_binaries, int(mip.has_eps_var)
+    cols = ([f"X{i + 1}" for i in range(d)]
+            + [f"S{j + 1}" for j in range(n)] + ["EPS"] * extra)
+    rows = [f"R{j + 1}" for j in range(n)] + ["CARD"] * extra
+    sense = {Sense.GE: "G", Sense.LE: "L", Sense.EQ: "E"}
+
+    assert parsed["obj_row"] == "COST"
+    assert parsed["rows"] == {r: sense[s] for r, s in zip(rows, lp.senses)}
+    assert parsed["order"] == cols
+    assert parsed["integers"] == set(cols[d:d + n])
+    for k, col in enumerate(cols):
+        values = [lp.objective[k], *lp.row_coeffs[:, k]]
+        assert parsed["cols"][col] == {
+            r: v for r, v in zip(["COST", *rows], values) if v != 0.0}
+        kinds = dict(parsed["bounds"][col])
+        if col in parsed["integers"]:
+            assert kinds == {"BV": None}
+        else:
+            assert kinds.get("LO", 0.0) == lp.lower[k]
+            assert kinds["UP"] == lp.upper[k]
+    assert {r: parsed["rhs"].get(r, 0.0) for r in rows} == dict(
+        zip(rows, lp.rhs))
 
 
 def test_write_mps_file(tmp_path, simplex_mip):
