@@ -4,7 +4,9 @@ Subcommands: depth (branch-and-cut), binsearch (bisection), heuristic
 (greedy cover only), oracle (combinatorial verifier), export-mps, bench.
 Results can be dumped as versioned JSON.  Exit codes: 0 ok, 1 usage or
 input error, 2 solver failure or budget exhaustion, 3 certificate downgrade
-(suppressed by --allow-unverified).  TUKEY_LOG sets the log level.
+(suppressed by --allow-unverified), 141 standard output closed by its reader
+(128 + SIGPIPE, as a shell reports a process that signal ends).  TUKEY_LOG
+sets the log level.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVE = 2
 EXIT_CERTIFICATE = 3
+EXIT_PIPE = 141
 
 
 class PointFileError(ValueError):
@@ -322,6 +325,38 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _dispatch(args) -> int:
+    if args.command == "depth":
+        return _cmd_solve(args, solve_depth)
+    if args.command == "binsearch":
+        return _cmd_solve(args, solve_depth_binary)
+    if args.command == "heuristic":
+        return _cmd_heuristic(args)
+    if args.command == "oracle":
+        return _cmd_oracle(args)
+    if args.command == "export-mps":
+        return _cmd_export(args)
+    if args.command == "bench":
+        return _cmd_bench(args)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
+def _stdout_to_devnull() -> None:
+    """Point the stdout descriptor at the null device, so that the flush at
+    exit of what the closed pipe did not take cannot raise again.  A stdout
+    with no descriptor (a stand-in object) is left as it is."""
+
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
 
@@ -333,19 +368,14 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "depth":
-            return _cmd_solve(args, solve_depth)
-        if args.command == "binsearch":
-            return _cmd_solve(args, solve_depth_binary)
-        if args.command == "heuristic":
-            return _cmd_heuristic(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "export-mps":
-            return _cmd_export(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        code = _dispatch(args)
+        # Output still buffered would otherwise meet a closed pipe only in
+        # the flush at exit, outside this handler.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_PIPE
     except (PointFileError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

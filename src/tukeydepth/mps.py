@@ -8,7 +8,9 @@ of how the program is built.  Columns keep the LP's order and are named
 X1.. (the direction), S1.. (the binaries) and EPS (the margin column, where
 there is one); rows are named R1.. (one per binary) and CARD (the
 cardinality row, where there is one).  Zero coefficients, zero right-hand
-sides and zero lower bounds are left out, and values are written with
+sides and zero lower bounds are left out, except that a column with no
+nonzero entry is written with an explicit zero cost so that every column
+BOUNDS names is declared under COLUMNS.  Values are written with
 shortest round-tripping precision so a parse of our own output reproduces
 the model bit-exactly.  Names stay within eight characters for
 fixed-format readers.
@@ -81,9 +83,9 @@ def render_mps(mip: MipModel, name: str = "TUKDEPTH") -> str:
 
     def column(col: int) -> list[str]:
         values = [lp.objective[col], *lp.row_coeffs[:, col]]
-        return _col_entries(col_names[col], [
-            (rn, v) for rn, v in zip(["COST", *row_names], values)
-            if v != 0.0])
+        entries = [(rn, v) for rn, v in zip(["COST", *row_names], values)
+                   if v != 0.0]
+        return _col_entries(col_names[col], entries or [("COST", 0.0)])
 
     lines.append("COLUMNS")
     for col in range(d):

@@ -8,6 +8,13 @@ rows, so enumerating those candidate normals is exact for inputs in general
 position.  The enumerators ``oracle_depth_2d`` and ``oracle_depth_general``
 involve no linear programming, which is the point.  ``is_depth_zero`` is
 the exception: it answers with one alternative LP through ``solve_lp``.
+
+The general enumeration costs C(n, d-1) * n inner products for n rows.  It
+draws the subsets lazily and works through them one fixed-size chunk at a
+time, so its memory is that of one chunk whatever n and d are: about 1 MB
+where the whole subset family would need gigabytes (n=50, d=6).  This is the
+enumeration of Rousseeuw & Struyf (Stat. Comput. 8, 1998) and Dyckerhoff &
+Mozharovskyi (CSDA 98, 2016), without their speed-ups.
 """
 
 from __future__ import annotations
@@ -30,6 +37,13 @@ __all__ = [
 ]
 
 GP_TOL = 1e-9
+
+# Entries of one chunk's normals-by-rows dot matrix: 2**16 float64 values
+# (512 KB), so a chunk's arrays stay in L2 cache whatever n and d are.
+_CHUNK_ENTRIES = 1 << 16
+
+# Float64 sums of integer weights are exact while the total is below this.
+_EXACT_FLOAT_SUM = 1 << 53
 
 
 class GeneralPositionError(ValueError):
@@ -99,6 +113,13 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
     land on one hyperplane the input is rejected as degenerate.
 
     Cost is C(n, d-1) * n inner products; meant for verification scale only.
+    The subsets are drawn lazily, about 2**16 / n of them per chunk, so
+    memory stays that of one chunk's normals and dot matrix.  Every subset is
+    enumerated and passes both general-position tests, even once the depth
+    reaches 0, so an input is rejected exactly when some subset fails one.
+    The weights on each side of a normal are summed as float64 (one BLAS
+    product), which is exact: every partial sum is an integer no larger than
+    the total weight, and that is below 2**53.  Past it the sums stay int64.
     """
 
     d = sys.dim
@@ -121,19 +142,28 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
             raise GeneralPositionError("rows are linearly dependent")
         return sys.zero_offset
 
-    combos = np.array(list(itertools.combinations(range(m), d - 1)))
-    normals = _subset_normals(rows, combos, gp_tol)
-    dots = normals @ rows.T  # (K, m)
+    total = int(w.sum())
+    side_w = w.astype(np.float64) if total < _EXACT_FLOAT_SUM else w
+    subsets = itertools.combinations(range(m), d - 1)
+    per_chunk = max(1, _CHUNK_ENTRIES // m)
+    best = total
+    while True:
+        flat = itertools.chain.from_iterable(
+            itertools.islice(subsets, per_chunk))
+        combos = np.fromiter(flat, np.intp).reshape(-1, d - 1)
+        if not len(combos):
+            return best + sys.zero_offset
+        normals = _subset_normals(rows, combos, gp_tol)
+        dots = normals @ rows.T  # (chunk, m)
 
-    on_plane = np.abs(dots) <= gp_tol
-    if int(on_plane.sum(axis=1).max()) >= d:
-        raise GeneralPositionError(
-            "d or more rows lie on a common hyperplane through the origin")
+        on_plane = np.abs(dots) <= gp_tol
+        if int(on_plane.sum(axis=1).max()) >= d:
+            raise GeneralPositionError(
+                "d or more rows lie on a common hyperplane through the origin")
 
-    neg = (dots < -gp_tol) @ w
-    pos = (dots > gp_tol) @ w
-    best = int(min(neg.min(), pos.min()))
-    return best + sys.zero_offset
+        neg = (dots < -gp_tol) @ side_w
+        pos = (dots > gp_tol) @ side_w
+        best = min(best, int(neg.min()), int(pos.min()))
 
 
 def is_depth_zero(sys: InfeasibleSystem) -> bool:

@@ -1,5 +1,9 @@
 import argparse
+import errno
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,8 +11,8 @@ import numpy as np
 import pytest
 
 from tukeydepth import cli, elastic
-from tukeydepth.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVE, EXIT_USAGE,
-                            PointFileError, read_points, run)
+from tukeydepth.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_PIPE, EXIT_SOLVE,
+                            EXIT_USAGE, PointFileError, read_points, run)
 from tukeydepth.engine import EngineConfig, SolveStats
 
 DATA = Path(__file__).parent / "data"
@@ -213,6 +217,42 @@ def test_json_stdout(triangle_file, capsys):
               "--json", "-"])
     assert rc == EXIT_OK
     assert json.loads(capsys.readouterr().out)["depth"] == 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    flush = write
+
+
+def test_closed_stdout_exits_with_pipe_code(triangle_file, monkeypatch,
+                                            capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = run(["depth", str(triangle_file), "--query-coords", "0", "0",
+              "--json", "-"])
+    assert rc == EXIT_PIPE == 141
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_in_a_process_exits_quietly(triangle_file):
+    """The reader closes its end before the command writes: the process
+    exits 141 and writes nothing to stderr about it, not even from the
+    flush of standard output at exit."""
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tukeydepth.cli", "depth", str(triangle_file),
+         "--query-coords", "0", "0", "--json", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_PIPE
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tukeydepth.engine import MipForm, MipModel
@@ -158,6 +159,39 @@ def test_render_is_the_relaxation(form, guess):
             assert kinds["UP"] == lp.upper[k]
     assert {r: parsed["rhs"].get(r, 0.0) for r in rows} == dict(
         zip(rows, lp.rhs))
+
+
+def _corpus_and_line_systems():
+    """The acceptance corpus clouds as first drawn (instance i: seed
+    10_000 + i, n 8..30, d 2..5), then three points on a line through the
+    query, where every row is orthogonal to the second axis."""
+
+    for i in range(200):
+        n, d = 8 + (i * 7) % 23, 2 + i % 4
+        pts = np.random.default_rng(10_000 + i).normal(size=(n, d))
+        yield build_system(PointSet(d, pts, np.zeros(d)))
+    yield build_system(PointSet(2, [[1, 0], [-1, 0], [2, 0]], [0, 0]))
+
+
+@pytest.mark.parametrize("form, guess", [(MipForm.DEPTH, None),
+                                         (MipForm.GUESS, 1)])
+def test_every_bounded_column_is_declared(form, guess):
+    """Fixed-format readers know a column only from COLUMNS, so each one
+    BOUNDS names must appear there, even with no nonzero coefficient."""
+
+    for sys_ in _corpus_and_line_systems():
+        mip = MipModel(sys_, ParamBounds.for_system(sys_), form, guess=guess)
+        parsed = parse_mps(render_mps(mip))
+        assert set(parsed["bounds"]) <= set(parsed["cols"])
+        assert parsed["order"] == list(parsed["bounds"])
+
+
+def test_all_zero_column_gets_a_zero_cost():
+    sys_ = build_system(PointSet(2, [[1, 0], [-1, 0], [2, 0]], [0, 0]))
+    mip = MipModel(sys_, ParamBounds.for_system(sys_), MipForm.DEPTH)
+    lines = render_mps(mip).splitlines()
+    assert "    X2        COST      0" in lines
+    assert parse_mps("\n".join(lines))["cols"]["X2"] == {"COST": 0.0}
 
 
 def test_write_mps_file(tmp_path, simplex_mip):

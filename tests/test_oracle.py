@@ -1,8 +1,13 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tukeydepth import oracle
 from tukeydepth.model import InfeasibleSystem, PointSet, build_system
-from tukeydepth.oracle import (GeneralPositionError, is_depth_zero,
+from tukeydepth.oracle import (GP_TOL, GeneralPositionError, is_depth_zero,
                                oracle_depth_2d, oracle_depth_general)
 
 from conftest import gaussian_system, outside_hull_system
@@ -109,3 +114,125 @@ def test_depth_range():
     for seed in range(5):
         sys_, depth, _ = gaussian_system(9700 + seed, 11, 2)
         assert 0 <= depth <= sys_.total_weight
+
+
+def unchunked_depth(sys_: InfeasibleSystem) -> int:
+    """Reference: the enumeration in its direct form, every (d-1)-subset,
+    normal and inner product at once, with int64 weight sums.  Defined for
+    d >= 2 and more rows than dimensions."""
+
+    d, gp_tol = sys_.dim, GP_TOL
+    rows = oracle._unit_rows(sys_)
+    combos = np.array(list(itertools.combinations(range(sys_.n_rows), d - 1)))
+    normals = oracle._subset_normals(rows, combos, gp_tol)
+    dots = normals @ rows.T
+    if int((np.abs(dots) <= gp_tol).sum(axis=1).max()) >= d:
+        raise GeneralPositionError("d or more rows on a hyperplane")
+    w = sys_.weights.astype(np.int64)
+    neg = (dots < -gp_tol) @ w
+    pos = (dots > gp_tol) @ w
+    return int(min(neg.min(), pos.min())) + sys_.zero_offset
+
+
+def verdict(depth_fn, sys_):
+    try:
+        return depth_fn(sys_)
+    except GeneralPositionError:
+        return "rejected"
+
+
+def chunks(n_rows: int, d: int) -> int:
+    per_chunk = max(1, oracle._CHUNK_ENTRIES // n_rows)
+    return -(-math.comb(n_rows, d - 1) // per_chunk)
+
+
+@pytest.mark.parametrize("n, d", [(500, 2), (120, 3), (50, 4), (26, 5)])
+def test_chunked_matches_unchunked_over_many_chunks(n, d):
+    assert chunks(n, d) >= 3
+    for seed in range(2):
+        pts = np.random.default_rng([n, d, seed]).normal(size=(n, d))
+        sys_ = build_system(PointSet(d, pts, np.zeros(d)))
+        assert verdict(oracle_depth_general, sys_) == \
+            verdict(unchunked_depth, sys_)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 37, 64])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chunk_boundaries_do_not_change_the_answer(chunk_entries, d,
+                                                   monkeypatch):
+    """Chunks of one subset, and chunks that leave a short last one, on
+    clouds, clouds with folded duplicates and integer grids, of which many
+    are rejected as degenerate."""
+
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+    rng = np.random.default_rng([chunk_entries, d])
+    grid = np.array(list(itertools.product(range(-2, 3), repeat=d)), float)
+    verdicts = set()
+    for _ in range(12):
+        pts = rng.normal(size=(int(rng.integers(d + 1, 13)), d))
+        dup = pts[rng.integers(0, len(pts), size=4)]
+        on_grid = grid[rng.choice(len(grid), size=d + 3, replace=False)]
+        for cloud in (pts, np.vstack([pts, dup]), on_grid):
+            sys_ = build_system(PointSet(d, cloud, np.zeros(d)))
+            expected = verdict(unchunked_depth, sys_)
+            assert verdict(oracle_depth_general, sys_) == expected
+            verdicts.add(expected == "rejected")
+    assert verdicts == {True, False}
+
+
+def test_folded_duplicate_weights_match_unchunked():
+    for d, n in [(2, 400), (3, 150), (4, 40)]:
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=(n, d))
+        pts = np.vstack([base, base[rng.integers(0, n, size=n)]])
+        sys_ = build_system(PointSet(d, pts, np.zeros(d)))
+        assert sys_.weights.max() > 1
+        assert chunks(sys_.n_rows, d) >= 2
+        assert oracle_depth_general(sys_) == unchunked_depth(sys_)
+
+
+def test_weights_past_float_precision_stay_exact():
+    """Side weights near 2**57 are summed in int64: float64 sums would
+    round away their low bits."""
+
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        rows = rng.normal(size=(30, d))
+        weights = rng.integers(2 ** 56, 2 ** 57, size=30) | 1
+        sys_ = InfeasibleSystem(d, rows, weights)
+        assert oracle_depth_general(sys_) == unchunked_depth(sys_)
+
+
+@pytest.mark.parametrize("d, n", [(3, 200), (4, 60)])
+def test_degenerate_subset_in_last_chunk_is_still_rejected(d, n):
+    """Every row leans toward +e1, so the depth is 0 from the first chunk
+    on; the last d rows lie on one hyperplane through the origin, which
+    only the last d subsets can see.  The pass must still reach them."""
+
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(n, d))
+    rows[:, 0] = np.abs(rows[:, 0]) + 0.5
+    rows[-1] = rows[-d:-1].sum(axis=0)
+    sys_ = InfeasibleSystem(d, rows, np.ones(n, dtype=np.int64))
+    per_chunk = oracle._CHUNK_ENTRIES // n
+    assert math.comb(n, d - 1) - d >= per_chunk  # past the first chunk
+    with pytest.raises(GeneralPositionError):
+        unchunked_depth(sys_)
+    with pytest.raises(GeneralPositionError):
+        oracle_depth_general(sys_)
+    healthy = InfeasibleSystem(d, rows[:-1], np.ones(n - 1, dtype=np.int64))
+    assert oracle_depth_general(healthy) == 0
+
+
+def test_memory_is_bounded_by_one_chunk():
+    """A 200-point cloud in d=3 has 19900 subsets; built at once their
+    normals and dot matrix took about 70 MB."""
+
+    sys_, _, _ = gaussian_system(9900, 200, 3)
+    tracemalloc.start()
+    try:
+        oracle_depth_general(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
