@@ -32,7 +32,7 @@ from .oracle import oracle_depth_2d, oracle_depth_general
 
 __all__ = ["read_points", "run", "main", "PointFileError"]
 
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 log = logging.getLogger("tukeydepth")
 

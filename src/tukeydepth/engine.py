@@ -219,15 +219,14 @@ class NodeOutcome:
 
 @dataclass
 class SolveStats:
-    """Search counters; ``dual_pivots`` and ``primal_pivots`` total the
-    simplex pivots of every LP the solve ran, and ``cold_starts``,
+    """Search counters; ``dual_pivots`` totals the simplex pivots of every
+    LP the solve ran, and ``cold_starts``,
     ``refactorized_starts`` and ``derived_starts`` count its LPs by how
     they opened (see ``LpSolution.start_kind``)."""
 
     nodes: int = 0
     lps: int = 0
     dual_pivots: int = 0
-    primal_pivots: int = 0
     cold_starts: int = 0
     refactorized_starts: int = 0
     derived_starts: int = 0
@@ -861,7 +860,6 @@ def _finalize(sys: InfeasibleSystem, cover, direction, stats: SolveStats,
         direction = np.zeros(sys.dim)
     stats.lps = counter.count
     stats.dual_pivots = counter.dual_pivots
-    stats.primal_pivots = counter.primal_pivots
     stats.cold_starts = counter.starts[COLD]
     stats.refactorized_starts = counter.starts[REFACTORIZED]
     stats.derived_starts = counter.starts[DERIVED]

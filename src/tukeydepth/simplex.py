@@ -16,10 +16,9 @@ only the columns whose bounds changed, since every other one keeps what the
 earlier optimum established), and the status path also needs exactly one
 basic column per row and a nonsingular basis matrix; otherwise the solve
 starts cold, from the all-slack basis.  Appended rows open with their slacks
-basic, which leaves the reduced costs unchanged.  A bounded dual simplex
-drives the start to primal feasibility (or proves infeasibility with a
-Farkas ray), then the primal simplex finishes with the true cost and detects
-unboundedness.
+basic, which leaves the reduced costs unchanged.  One pivot loop, a bounded
+dual simplex, drives the start to primal feasibility or proves
+infeasibility with a Farkas ray; the final basis is then priced once.
 
 Every LP this package builds is dual feasible at the slack basis, and the
 search engine only passes starts that stay dual feasible: the parent node's
@@ -27,9 +26,14 @@ final LP (a branching or reduced-cost fixing changes bounds only), the
 previous cut round's (cuts are appended rows), the node LP for
 strong-branching children, the previous bisection probe's root LP (its cut
 pool only grows and only the cardinality row's right-hand side changes),
-and an elastic LP for one that removes more rows (a bound change too).  So
-for those LPs the primal finish only prices once.  Pricing is by largest
-violation (dual) and Dantzig (primal) with a Bland's-rule fallback after a
+and an elastic LP for one that removes more rows (a bound change too).  A
+cold LP whose cost asks some column for a bound it lacks first runs a dual
+phase 1 through the same loop (Koberstein, PhD thesis, Paderborn 2005,
+4.4): the bounded ray LP, min c.r with right-hand side 0 and each column's
+recession cone cut to the unit box.  If a column still asks for a missing
+bound at its optimum, the LP has a ray of negative cost, and a pass with
+zero cost decides between unbounded and infeasible.
+Pricing is by largest violation with a Bland's-rule fallback after a
 degenerate-iteration budget; the explicit basis inverse is refactorized
 every ``_REFACTOR_EVERY`` pivots, counted along a chain of derived solves,
 and ties go to the lowest index everywhere, so identical inputs (the start
@@ -119,14 +123,17 @@ class LpStatus(Enum):
 
 
 class LpNumericsError(RuntimeError):
-    """Raised when the solver cannot make progress even under Bland's rule."""
+    """Raised when the solver stalls under Bland's rule or ends dual
+    infeasible."""
 
 
 @dataclass
 class LpModel:
     """min objective . v subject to row_coeffs v (sense) rhs, lower <= v <= upper.
 
-    All arrays are dense; +-inf bounds are allowed.
+    All arrays are dense.  A lower bound may be -inf, an upper bound +inf
+    and a right-hand side infinite; nothing else may be NaN or infinite.
+    Senses must be ``Sense`` members, which the solve checks.
     """
 
     objective: np.ndarray
@@ -146,8 +153,15 @@ class LpModel:
             raise ValueError("one sense per row required")
         self.lower = np.asarray(self.lower, dtype=float).reshape(n)
         self.upper = np.asarray(self.upper, dtype=float).reshape(n)
-        if (self.lower > self.upper).any():
-            raise ValueError("lower bound above upper bound")
+        if not (np.isfinite(self.objective).all()
+                and np.isfinite(self.row_coeffs).all()):
+            raise ValueError("objective and rows must be finite")
+        if np.isnan(self.rhs).any():
+            raise ValueError("right-hand side is NaN")
+        if not ((self.lower < INF) & (self.upper > -INF)
+                & (self.lower <= self.upper)).all():
+            raise ValueError("bounds need lower <= upper, lower < inf and "
+                             "upper > -inf")
 
     @property
     def columns(self) -> int:
@@ -168,9 +182,8 @@ class LpSolution:
     from.  ``start_kind`` says how this solve opened: ``COLD`` (the slack
     basis), ``REFACTORIZED`` (from start statuses, inverting their basis)
     or ``DERIVED`` (from an earlier kernel).  ``dual_pivots`` counts basis
-    changes of the dual pass and ``dual_flips`` the bound flips of its ratio
-    test; ``primal_pivots`` counts the basis changes and bound flips of the
-    primal finish."""
+    changes of the dual passes, phase 1 included, and ``dual_flips`` the
+    bound flips of their ratio test."""
 
     status: LpStatus
     primal: np.ndarray
@@ -180,7 +193,6 @@ class LpSolution:
     basis_status: np.ndarray
     dual_pivots: int = 0
     dual_flips: int = 0
-    primal_pivots: int = 0
     start_kind: str = COLD
     kernel: "_Simplex | None" = field(default=None, repr=False,
                                       compare=False)
@@ -203,13 +215,11 @@ class LpCounter:
     def __init__(self):
         self.count = 0
         self.dual_pivots = 0
-        self.primal_pivots = 0
         self.starts = dict.fromkeys(START_KINDS, 0)
 
     def record(self, sol: LpSolution) -> None:
         self.count += 1
         self.dual_pivots += sol.dual_pivots
-        self.primal_pivots += sol.primal_pivots
         self.starts[sol.start_kind] += 1
 
 
@@ -239,11 +249,22 @@ def solve_lp(model: LpModel, feas_tol: float = 1e-9,
 
 def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of the slacks of rows with these senses: [0, inf) for <=,
-    (-inf, 0] for >= and [0, 0] for =."""
+    (-inf, 0] for >= and [0, 0] for =.  Raises ValueError for a sense that
+    is not a ``Sense`` member."""
 
-    ge = np.array([s is Sense.GE for s in senses], dtype=bool)
-    eq = np.array([s is Sense.EQ for s in senses], dtype=bool)
-    return np.where(ge, -INF, 0.0), np.where(ge | eq, 0.0, INF)
+    lower, upper = [], []
+    for s in senses:
+        if s is Sense.GE:
+            lo, up = -INF, 0.0
+        elif s is Sense.LE:
+            lo, up = 0.0, INF
+        elif s is Sense.EQ:
+            lo, up = 0.0, 0.0
+        else:
+            raise ValueError(f"sense {s!r} is not a Sense member")
+        lower.append(lo)
+        upper.append(up)
+    return np.array(lower), np.array(upper)
 
 
 class _Simplex:
@@ -259,6 +280,7 @@ class _Simplex:
         self.feas_tol = feas_tol
         self.flips = 0
         self.handed_over = False
+        self.needs_phase_one = False
         if isinstance(start, LpSolution):
             if self._derive(start, model):
                 self.start_kind = DERIVED
@@ -290,33 +312,40 @@ class _Simplex:
         self.movable = self.upper > self.lower
 
     def _slack_start(self, model: LpModel):
-        """All slacks basic.  Each structural opens nonbasic at the bound its
-        cost sign needs for dual feasibility; where that bound is infinite it
-        sits at its other bound (or at 0 when free) and the dual pass prices
-        it at cost 0, leaving the primal finish to correct it."""
+        """All slacks basic, each structural placed by ``_place`` (where the
+        reduced costs are the cost).  Decides whether the solve needs phase
+        1: some movable column's cost asks for a bound it lacks."""
 
         n, m = self.n_struct, self.m
-        c = model.objective
-        fin_lo = model.lower > -INF
-        fin_up = model.upper < INF
-        at_up = fin_up & ((c < 0) | ~fin_lo)
-        free = ~fin_lo & ~fin_up
-        at_lo = ~at_up & ~free
-        dual_ok = ((at_lo & (c >= 0)) | (at_up & (c <= 0))
-                   | (model.lower == model.upper))
-        self.dual_cost = np.concatenate([np.where(dual_ok, c, 0.0),
-                                         np.zeros(m)])
-
         self.status = np.full(n + m, _BASIC, dtype=np.int8)
-        self.status[:n] = np.where(at_up, _AT_UPPER,
-                                   np.where(free, _FREE, _AT_LOWER))
         self.values = np.zeros(n + m)
-        self.values[:n] = np.where(at_up, model.upper,
-                                   np.where(free, 0.0, model.lower))
-        self.values[n:] = self.b - model.row_coeffs @ self.values[:n]
         self.basis = np.arange(n, n + m)
         self.binv = np.eye(m)
-        self.dual_rc = self.dual_cost - self._duals(self.dual_cost) @ self.A
+        self.rc = self.cost - self._duals(self.cost) @ self.A
+        self._place(slice(0, n))
+        self.values[n:] = self.b - model.row_coeffs @ self.values[:n]
+        self.needs_phase_one = bool(self._dual_infeasible(self.rc).any())
+
+    def _place(self, cols):
+        """Put the nonbasic columns ``cols`` at the bound their reduced cost
+        asks for (the lower one when it is 0), at the other bound where that
+        one is infinite, and free at 0 when both are."""
+
+        d, lo, up = self.rc[cols], self.lower[cols], self.upper[cols]
+        at_up = (up < INF) & ((d < 0) | (lo == -INF))
+        free = (lo == -INF) & (up == INF)
+        self.status[cols] = np.where(at_up, _AT_UPPER,
+                                     np.where(free, _FREE, _AT_LOWER))
+        self.values[cols] = np.where(at_up, up, np.where(free, 0.0, lo))
+
+    def _dual_infeasible(self, d: np.ndarray) -> np.ndarray:
+        """Mask of the movable nonbasic columns whose reduced cost in ``d``
+        has the wrong sign for their status by more than ``_OPT_TOL``."""
+
+        st = self.status
+        wrong = _ENTRY_SIGN[st] * d < -_OPT_TOL
+        wrong |= (st == _FREE) & (np.abs(d) > _OPT_TOL)
+        return wrong & self.movable
 
     def _warm_start(self, start: np.ndarray) -> bool:
         """Open at the basis ``start`` (statuses over the structurals and a
@@ -348,14 +377,8 @@ class _Simplex:
             self._refactorize()
         except LpNumericsError:
             return False
-        d = self.cost - self._duals(self.cost) @ self.A
-        wrong = self.movable & ((((at_lo | free) & (d < -_OPT_TOL))
-                                 | ((at_up | free) & (d > _OPT_TOL))))
-        if wrong.any():
-            return False
-        self.dual_cost = self.cost
-        self.dual_rc = d
-        return True
+        self.rc = self.cost - self._duals(self.cost) @ self.A
+        return not self._dual_infeasible(self.rc).any()
 
     def _derive(self, earlier: LpSolution, model: LpModel) -> bool:
         """Open at the final state of the kernel that solved ``earlier``,
@@ -457,7 +480,7 @@ class _Simplex:
         self.status, self.values = status, values
         self.basis, self.binv = basis, binv
         self.pivots_since_refactor = k.pivots_since_refactor
-        self.dual_cost, self.dual_rc = cost, d
+        self.rc = d
         return True
 
     # -- linear algebra helpers -------------------------------------------
@@ -487,23 +510,10 @@ class _Simplex:
 
     # -- core iteration ----------------------------------------------------
 
-    def _price(self, rc: np.ndarray, bland: bool) -> int:
-        st = self.status
-        from_lower = ((st == _AT_LOWER) | (st == _FREE)) & (rc < -_OPT_TOL)
-        from_upper = ((st == _AT_UPPER) | (st == _FREE)) & (rc > _OPT_TOL)
-        eligible = (from_lower | from_upper) & self.movable
-        if not eligible.any():
-            return -1
-        if bland:
-            return int(np.argmax(eligible))
-        score = np.where(eligible, np.abs(rc), -1.0)
-        return int(np.argmax(score))
-
-    def _dual(self, cost: np.ndarray,
-              d: np.ndarray) -> tuple[np.ndarray | None, int]:
+    def _dual(self, cost: np.ndarray) -> tuple[np.ndarray | None, int]:
         """Bounded dual simplex from a basis that is dual feasible for
-        ``cost``, whose reduced costs ``d`` it updates in place, run until
-        every basic variable is within its bounds.
+        ``cost``, run until every basic variable is within its bounds; it
+        keeps ``rc`` the reduced costs of ``cost`` throughout.
 
         Returns (None, pivots) on primal feasibility, or (ray, pivots) when a
         violated row admits no entering column: the ray is that row of the
@@ -535,6 +545,7 @@ class _Simplex:
         basis = self.basis
         status = self.status
         values = self.values
+        d = self.rc
         xb = values[basis]
         lb = self.lower[basis]
         ub = self.upper[basis]
@@ -553,7 +564,7 @@ class _Simplex:
                 raise LpNumericsError("iteration limit exceeded")
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
-                d = cost - self._duals(cost) @ A
+                d = self.rc = cost - self._duals(cost) @ A
                 xb = values[basis]
 
             violation = np.maximum(lb - xb, xb - ub)
@@ -616,8 +627,8 @@ class _Simplex:
                 pick = int(solid[0])
             else:
                 # Half the optimality tolerance keeps the reduced costs that
-                # the relaxed ratio lets slip inside what the primal finish
-                # accepts as optimal.
+                # the relaxed ratio lets slip inside what the finish accepts
+                # as optimal.
                 limit = float(((room + 0.5 * _OPT_TOL) / mag).min())
                 cands = ratio <= limit
                 best = float(mag[cands].max())
@@ -657,128 +668,6 @@ class _Simplex:
                 degenerate_run = 0
                 bland = False
 
-    def _iterate(self, cost: np.ndarray):
-        """Primal simplex from a primal feasible basis.  Returns
-        ("optimal" | "unbounded", pivots, y, rc), bound flips counted as
-        pivots, with the duals and reduced costs of the final basis."""
-
-        degenerate_run = 0
-        bland = False
-        iterations = 0
-        max_iter = 2000 + 200 * (self.m + self.n_struct)
-
-        while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise LpNumericsError("iteration limit exceeded")
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                self._refactorize()
-
-            y = self._duals(cost)
-            rc = cost - y @ self.A if self.m else cost.copy()
-            entering = self._price(rc, bland)
-            if entering < 0:
-                return "optimal", iterations - 1, y, rc
-
-            # Direction: +1 increases the entering variable, -1 decreases it.
-            if self.status[entering] == _AT_UPPER:
-                direction = -1.0
-            elif self.status[entering] == _FREE:
-                direction = 1.0 if rc[entering] < 0 else -1.0
-            else:
-                direction = 1.0
-
-            col = self.binv @ self.A[:, entering] if self.m else np.zeros(0)
-            w = direction * col
-
-            # Two-pass ratio test.  Pass 1 finds the blocking step with each
-            # bound relaxed by feas_tol; pass 2 picks, among candidates whose
-            # true ratio fits under that relaxed limit, the one with the
-            # largest pivot magnitude (tiny pivots poison the basis inverse).
-            # The step taken is the chosen candidate's own true ratio, so the
-            # leaving variable lands exactly on its bound and every other
-            # basic stays within feas_tol of its own.
-            if self.m:
-                vb = self.values[self.basis]
-                lb = self.lower[self.basis]
-                ub = self.upper[self.basis]
-                true_r = np.full(self.m, INF)
-                relax_r = np.full(self.m, INF)
-                down = (w > _PIVOT_TOL) & (lb != -INF)
-                true_r[down] = (vb[down] - lb[down]) / w[down]
-                relax_r[down] = (vb[down] - lb[down] + self.feas_tol) / w[down]
-                upw = (w < -_PIVOT_TOL) & (ub != INF)
-                true_r[upw] = (vb[upw] - ub[upw]) / w[upw]
-                relax_r[upw] = (vb[upw] - ub[upw] - self.feas_tol) / w[upw]
-                np.maximum(true_r, 0.0, out=true_r)
-                limit_relaxed = float(relax_r.min())
-            else:
-                true_r = np.zeros(0)
-                limit_relaxed = INF
-
-            rng = self.upper[entering] - self.lower[entering]
-            flip = rng if (rng != INF and self.status[entering] != _FREE) else INF
-
-            if limit_relaxed == INF and flip == INF:
-                return "unbounded", iterations - 1, y, rc
-
-            if limit_relaxed == INF:
-                step_bound = INF
-                leave_pos = -1
-            else:
-                cands = np.where(true_r <= max(limit_relaxed, 0.0))[0]
-                if cands.size == 0:
-                    cands = np.array([int(np.argmin(true_r))])
-                if bland:
-                    # Lowest variable index, unless its pivot is hopeless.
-                    wmax = float(np.abs(w[cands]).max())
-                    solid = cands[np.abs(w[cands]) >= 1e-7 * wmax]
-                    pick = solid if solid.size else cands
-                    leave_pos = int(pick[np.argmin(self.basis[pick])])
-                else:
-                    mags = np.abs(w[cands])
-                    best = float(mags.max())
-                    solid = cands[mags >= 0.5 * best]
-                    leave_pos = int(solid[np.argmin(self.basis[solid])])
-                step_bound = float(true_r[leave_pos])
-
-            if flip < step_bound:
-                # Bound flip: no basis change.
-                self.values[entering] = (self.upper[entering] if direction > 0
-                                         else self.lower[entering])
-                self.status[entering] = (_AT_UPPER if direction > 0 else _AT_LOWER)
-                if self.m:
-                    self.values[self.basis] -= w * flip
-                step = flip
-            else:
-                leave_to_upper = w[leave_pos] < 0
-                jl = int(self.basis[leave_pos])
-                step = step_bound
-                self.values[self.basis] -= w * step
-                self.values[entering] = (self._entering_origin(entering)
-                                         + direction * step)
-                self.values[jl] = self.upper[jl] if leave_to_upper else self.lower[jl]
-                self.status[jl] = _AT_UPPER if leave_to_upper else _AT_LOWER
-                self.status[entering] = _BASIC
-                self.basis[leave_pos] = entering
-                self._update_binv(col, leave_pos)
-                self.pivots_since_refactor += 1
-
-            if step <= _RATIO_TIE:
-                degenerate_run += 1
-                if degenerate_run >= _DEGENERATE_BUDGET:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-
-    def _entering_origin(self, j: int) -> float:
-        if self.status[j] == _AT_UPPER:
-            return self.upper[j]
-        if self.status[j] == _AT_LOWER:
-            return self.lower[j]
-        return self.values[j]
-
     def _update_binv(self, col: np.ndarray, pos: int) -> bool:
         """Product-form update of the inverse for ``col`` entering the basis
         at row ``pos``.  Returns True when the pivot was too small and the
@@ -802,9 +691,39 @@ class _Simplex:
 
     # -- driver -------------------------------------------------------------
 
+    def _phase_one(self) -> tuple[int, bool]:
+        """Solve the bounded ray LP from the slack start: a finite bound
+        becomes 0 and an infinite one -1 or +1, so every column is boxed
+        and any placed basis dual feasible.  Restore the LP and re-place the
+        nonbasic columns.  Returns the pivots taken and whether the basis is
+        still dual infeasible, in which case the ray LP found a ray of
+        negative cost."""
+
+        lp = self.lower, self.upper, self.b, self.movable
+        self.lower = np.where(self.lower == -INF, -1.0, 0.0)
+        self.upper = np.where(self.upper == INF, 1.0, 0.0)
+        self.b = np.zeros(self.m)
+        self.movable = self.upper > self.lower
+        self._place(self.status != _BASIC)
+        self._recompute_basic_values()
+        pivots = self._dual(self.cost)[1]
+        self.lower, self.upper, self.b, self.movable = lp
+        self._place(self.status != _BASIC)
+        self._recompute_basic_values()
+        return pivots, bool(self._dual_infeasible(self.rc).any())
+
     def solve(self) -> LpSolution:
         n = self.n_struct
-        ray, dual_pivots = self._dual(self.dual_cost, self.dual_rc)
+        pivots, unbounded = (self._phase_one() if self.needs_phase_one
+                             else (0, False))
+        cost = self.cost
+        if unbounded:
+            # A ray of negative cost exists: the LP is unbounded unless its
+            # rows are infeasible, which a pass with zero cost decides.
+            cost = np.zeros_like(self.cost)
+            self.rc = np.zeros_like(self.cost)
+        ray, more = self._dual(cost)
+        pivots += more
         if ray is not None:
             return LpSolution(
                 status=LpStatus.INFEASIBLE,
@@ -813,28 +732,28 @@ class _Simplex:
                 duals=ray,
                 reduced_costs=-(ray @ self.A[:, :n]),
                 basis_status=self.status.copy(),
-                dual_pivots=dual_pivots,
+                dual_pivots=pivots,
                 dual_flips=self.flips,
                 start_kind=self.start_kind,
             )
 
         # The final reduced costs over every column stay with the kernel for
         # a later derived start.
-        outcome, primal_pivots, y, self.rc = self._iterate(self.cost)
-        rc = self.rc[:n].copy()
+        y = self._duals(self.cost)
+        self.rc = self.cost - y @ self.A
+        if not unbounded and self._dual_infeasible(self.rc).any():
+            raise LpNumericsError("final basis is not dual feasible")
         primal = self.values[:n].copy()
-        unbounded = outcome == "unbounded"
         obj = -INF if unbounded else float(self.cost[:n] @ primal)
         return LpSolution(
             status=LpStatus.UNBOUNDED if unbounded else LpStatus.OPTIMAL,
             primal=primal,
             objective_value=obj,
             duals=y,
-            reduced_costs=rc,
+            reduced_costs=self.rc[:n].copy(),
             basis_status=self.status.copy(),
-            dual_pivots=dual_pivots,
+            dual_pivots=pivots,
             dual_flips=self.flips,
-            primal_pivots=primal_pivots,
             start_kind=self.start_kind,
             kernel=None if unbounded else self,
         )

@@ -85,6 +85,21 @@ def count_warm_starts(monkeypatch) -> list[bool]:
     return accepted
 
 
+def count_phase_one(monkeypatch) -> list[int]:
+    """Record the structural column count of each solve that enters the
+    kernel's dual phase 1."""
+
+    entries = []
+    phase_one = simplex._Simplex._phase_one
+
+    def spy(self):
+        entries.append(self.n_struct)
+        return phase_one(self)
+
+    monkeypatch.setattr(simplex._Simplex, "_phase_one", spy)
+    return entries
+
+
 @pytest.fixture
 def simplex_sys():
     return build_system(PointSet(2, [[1, 0], [0, 1], [-1, -1]], [0, 0]))

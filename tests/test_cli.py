@@ -167,7 +167,7 @@ def test_json_output(square_file, tmp_path):
               "--json", str(out)])
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["depth"] == 2
     assert payload["certificate"] == "verified"
     assert len(payload["direction"]) == 2
@@ -176,7 +176,8 @@ def test_json_output(square_file, tmp_path):
          "exact", "lower_bound", "zero_offset", "stats"])
     stats = payload["stats"]
     assert stats["dual_pivots"] > 0
-    assert stats["primal_pivots"] == 0
+    # Schema 4 dropped the primal finish's pivot total.
+    assert [k for k in stats if k.endswith("_pivots")] == ["dual_pivots"]
 
 
 def test_json_stats_are_the_solve_stats_fields(square_file, tmp_path):
@@ -203,7 +204,7 @@ def test_json_counts_lps_by_start(tmp_path, capsys):
                   "--json", "-"])
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         stats = payload["stats"]
         starts = [stats[k] for k in ("cold_starts", "refactorized_starts",
                                      "derived_starts")]

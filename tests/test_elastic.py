@@ -204,14 +204,14 @@ def test_chinneck_trials_start_warm(seed, monkeypatch):
 def test_cold_wide_elastic_takes_few_pivots(d, monkeypatch):
     """Cold elastic LPs over 200-point clouds whose query is the outermost
     point, drawn as the screening benchmark draws them: the bound flips
-    leave at most 2d + 2 dual pivots, and no primal pivot."""
+    leave at most 2d + 2 dual pivots."""
 
     pivots = []
     solve = elastic.solve_lp
 
     def spy(*args, **kwargs):
         sol = solve(*args, **kwargs)
-        pivots.append((sol.dual_pivots, sol.primal_pivots))
+        pivots.append(sol.dual_pivots)
         return sol
 
     monkeypatch.setattr(elastic, "solve_lp", spy)
@@ -221,8 +221,7 @@ def test_cold_wide_elastic_takes_few_pivots(d, monkeypatch):
             assert sys_.n_rows == 200
             assert solve_elastic(sys_, set()).ninf == 0
     assert len(pivots) == 60
-    assert max(p for p, _ in pivots) <= 2 * d + 2
-    assert not any(p for _, p in pivots)
+    assert max(pivots) <= 2 * d + 2
 
 
 def _counted_cover(sys_):

@@ -23,8 +23,8 @@ from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
 from tukeydepth.simplex import INF, LpCounter, LpStatus, solve_lp
 
-from conftest import (count_warm_starts, gaussian_system, screen_system,
-                      skewed_arc_system)
+from conftest import (count_phase_one, count_warm_starts, gaussian_system,
+                      screen_system, skewed_arc_system)
 
 
 def mip_for(sys_, form=MipForm.DEPTH, guess=None, cfg=None):
@@ -280,23 +280,24 @@ def test_determinism_across_runs():
     b = solve_depth(sys_)
     assert a.depth == b.depth == depth
     assert a.cover == b.cover
-    counts = ("nodes", "lps", "cuts", "dual_pivots", "primal_pivots")
+    counts = ("nodes", "lps", "cuts", "dual_pivots")
     assert [getattr(a.stats, c) for c in counts] == \
         [getattr(b.stats, c) for c in counts]
     assert np.array_equal(a.direction, b.direction)
 
 
 @pytest.mark.parametrize("rule", ["greedy", "strong"])
-def test_solvers_take_no_primal_pivots(rule):
+def test_solvers_never_enter_phase_one(rule, monkeypatch):
     # Every LP the search builds is dual feasible at the slack basis.
     sys_, depth, _ = gaussian_system(6400, 16, 3)
     cfg = EngineConfig(branch_rule=rule)
+    entries = count_phase_one(monkeypatch)
     for solve in (solve_depth, solve_depth_binary):
         res = solve(sys_, cfg)
         assert res.depth == depth
         assert res.stats.nodes > 0
         assert res.stats.dual_pivots > 0
-        assert res.stats.primal_pivots == 0
+    assert entries == []
 
 
 def test_rounding_in_cut_loop_keeps_depth(monkeypatch):

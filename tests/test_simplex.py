@@ -11,7 +11,7 @@ from tukeydepth.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, COLD, DERIVED,
                                  INF, REFACTORIZED, LpModel, LpStatus, Sense,
                                  solve_lp)
 
-from conftest import count_warm_starts, gaussian_system
+from conftest import count_phase_one, count_warm_starts, gaussian_system
 
 
 def lp(obj, rows, senses, rhs, lower, upper):
@@ -42,6 +42,68 @@ def test_contradictory_pair_infeasible():
 def test_unconstrained_unbounded():
     sol = solve_lp(lp([-1], np.zeros((0, 1)), [], [], [-INF], [INF]))
     assert sol.status is LpStatus.UNBOUNDED
+
+
+def test_infeasible_and_dual_infeasible_gives_farkas_ray(monkeypatch):
+    """min -y s.t. x >= 1, -x >= 1 with x and y free: phase 1 finds a ray
+    of negative cost along y, and the zero-cost pass proves the rows
+    infeasible with a Farkas ray."""
+
+    entries = count_phase_one(monkeypatch)
+    model = lp([0, -1], [[1, 0], [-1, 0]], [Sense.GE] * 2, [1, 1],
+               [-INF, -INF], [INF, INF])
+    sol = solve_lp(model)
+    assert entries == [2]
+    assert sol.status is LpStatus.INFEASIBLE
+    y = sol.duals
+    assert np.all(y >= 0)
+    assert np.allclose(y @ model.row_coeffs, 0.0, rtol=0, atol=1e-12)
+    assert y @ model.rhs > 0
+
+
+def test_unbounded_along_half_bounded_column(monkeypatch):
+    """min -x1 + x2 over x1 - x2 >= 1, -x1 + 2 x2 <= 4, x1 >= 0, x2 >= -1:
+    the ray (2, 1) has cost -1 and x1 has no upper bound, so the LP is
+    unbounded, and the primal handed back is a feasible point."""
+
+    entries = count_phase_one(monkeypatch)
+    model = lp([-1, 1], [[1, -1], [-1, 2]], [Sense.GE, Sense.LE], [1, 4],
+               [0, -1], [INF, INF])
+    sol = solve_lp(model)
+    assert entries == [2]
+    assert _scipy_reference(model).status == 3
+    assert sol.status is LpStatus.UNBOUNDED
+    assert sol.objective_value == -INF
+    x = sol.primal
+    act = model.row_coeffs @ x
+    assert act[0] >= 1 - 1e-9 and act[1] <= 4 + 1e-9
+    assert np.all(x >= model.lower - 1e-9)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("obj, rows, senses, rhs, lower, upper", [
+    pytest.param([1], [[1]], [">="], [0.5], [0], [1], id="sense-value"),
+    pytest.param([1], [[1]], ["=>"], [0.5], [0], [1], id="sense-garbage"),
+    pytest.param([1], [[1]], [Sense.GE], [_NAN], [0], [1], id="nan-rhs"),
+    pytest.param([1], [[_NAN]], [Sense.GE], [0.5], [0], [1], id="nan-row"),
+    pytest.param([1], [[1]], [Sense.GE], [0.5], [_NAN], [1], id="nan-lower"),
+    pytest.param([1], [[1]], [Sense.GE], [0.5], [0], [_NAN], id="nan-upper"),
+    pytest.param([_NAN], [[1]], [Sense.GE], [0.5], [0], [1], id="nan-cost"),
+    pytest.param([INF], [[1]], [Sense.GE], [0.5], [0], [1], id="inf-cost"),
+    pytest.param([1], [[INF]], [Sense.GE], [0.5], [0], [1], id="inf-row"),
+    pytest.param([1], [[1]], [Sense.GE], [0.5], [INF], [INF],
+                 id="lower-plus-inf"),
+    pytest.param([1], [[1]], [Sense.GE], [0.5], [-INF], [-INF],
+                 id="upper-minus-inf"),
+])
+def test_lp_model_refuses_what_it_cannot_solve(obj, rows, senses, rhs, lower,
+                                               upper):
+    # A sense that is not a Sense member used to solve as <=, a NaN to come
+    # back OPTIMAL, and a +inf lower bound as OPTIMAL at inf.
+    with pytest.raises(ValueError):
+        solve_lp(lp(obj, rows, senses, rhs, lower, upper))
 
 
 def test_fixing_forces_value():
@@ -85,8 +147,7 @@ def _assert_identical(a, b):
     assert a.objective_value == b.objective_value
     for field in ("primal", "duals", "reduced_costs", "basis_status"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert (a.dual_pivots, a.primal_pivots) == (b.dual_pivots,
-                                                b.primal_pivots)
+    assert a.dual_pivots == b.dual_pivots
 
 
 # Kernel paths the package's own LPs seldom or never reach, each forced by
@@ -229,8 +290,8 @@ def test_random_lps_match_scipy(seed):
 
 
 def test_farkas_on_random_infeasible_systems():
-    # Zero cost, and a nonzero cost on the free columns, which the dual pass
-    # prices at 0: the ray must not depend on it.
+    # Zero cost, and a nonzero cost on the free columns, which sends the
+    # solve through phase 1: the ray must not depend on it.
     rng = np.random.default_rng(5)
     for _ in range(20):
         d = int(rng.integers(1, 4))
@@ -250,14 +311,14 @@ def test_farkas_on_random_infeasible_systems():
             assert y @ np.ones(m) > 1e-7
 
 
-def test_wrong_sign_costs_take_the_primal_finish():
+def test_wrong_sign_costs_take_phase_one(monkeypatch):
     """Free and half-bounded columns whose cost sign asks for a missing
-    bound: the dual pass prices them at 0 and the primal finish must still
-    reach scipy's status and objective."""
+    bound: the solve goes through the dual phase 1 and must still reach
+    scipy's status and objective."""
 
     rng = np.random.default_rng(11)
     seen = {status: 0 for status in LpStatus}
-    finished_by_primal = 0
+    entries = count_phase_one(monkeypatch)
     for _ in range(60):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 8))
@@ -281,9 +342,8 @@ def test_wrong_sign_costs_take_the_primal_finish():
             assert mine.objective_value == pytest.approx(ref.fun, abs=1e-7,
                                                          rel=1e-7)
             _check_kkt(model, mine)
-            finished_by_primal += mine.primal_pivots > 0
     assert all(seen.values()), seen
-    assert finished_by_primal > 0
+    assert len(entries) > 0
 
 
 def _degenerate_lp(rng):
@@ -326,7 +386,7 @@ def test_forced_kernel_paths(forcing, monkeypatch):
     at most a few dozen pivots and seldom reach these paths, so force each
     one and check the results against scipy (status, objective, KKT), the
     basic values against the basis, and the Farkas rays of infeasible >=
-    systems."""
+    systems.  Phase 1 runs under every forcing."""
 
     rng = np.random.default_rng(23)
     models = [_degenerate_lp(rng) for _ in range(300)]
@@ -344,6 +404,7 @@ def test_forced_kernel_paths(forcing, monkeypatch):
     default_refactors, refactors[0] = refactors[0], 0
 
     monkeypatch.setattr(simplex, *_FORCINGS[forcing])
+    entries = count_phase_one(monkeypatch)
     seen = {status: 0 for status in LpStatus}
     changed = 0
     resynced = 0
@@ -357,8 +418,7 @@ def test_forced_kernel_paths(forcing, monkeypatch):
         xb = kernel.binv @ (kernel.b - kernel.A[:, nb] @ kernel.values[nb])
         assert np.allclose(kernel.values[kernel.basis], xb, rtol=1e-7,
                            atol=1e-7)
-        if (forcing in ("refactor_every_1", "rebuild") and mine.dual_pivots
-                and not mine.primal_pivots):
+        if forcing in ("refactor_every_1", "rebuild") and mine.dual_pivots:
             assert np.array_equal(kernel.values[kernel.basis], xb)
             resynced += 1
         ref = _scipy_reference(model)
@@ -370,9 +430,9 @@ def test_forced_kernel_paths(forcing, monkeypatch):
             assert mine.objective_value == pytest.approx(ref.fun, abs=1e-7,
                                                          rel=1e-7)
             _check_kkt(model, mine)
-        changed += (mine.dual_pivots, mine.primal_pivots) != (
-            before.dual_pivots, before.primal_pivots)
+        changed += mine.dual_pivots != before.dual_pivots
     assert all(seen.values()), seen
+    assert len(entries) > 0
 
     for model in farkas:
         sol = solve_lp(model)
@@ -412,7 +472,7 @@ def _spy_models(monkeypatch, module, call):
 @pytest.mark.parametrize("points, dim", [(12, 2), (16, 3), (20, 4)])
 def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
     """Every LP builder of the package yields an LP whose slack basis is dual
-    feasible, so the primal finish takes no pivot."""
+    feasible, so no solve enters phase 1."""
 
     sys_, depth, _ = gaussian_system(7000, points, dim)
     n = sys_.n_rows
@@ -442,6 +502,7 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
         "guess": [MipModel(sys_, bounds, MipForm.GUESS, guess=depth - 1)
                   .relaxation(fix1, fix0, (cut,))],
     }
+    entries = count_phase_one(monkeypatch)
     for name, built in models.items():
         assert len(built) == 1, name
         model = built[0]
@@ -452,7 +513,7 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
         assert np.all((c <= 0) | (model.lower > -INF)), name
         sol = solve_lp(model)
         ref = _scipy_reference(model)
-        assert sol.primal_pivots == 0, name
+        assert entries == [], name
         assert sol.dual_pivots > 0, name
         if ref.status == 2:
             assert sol.status is LpStatus.INFEASIBLE, name
@@ -480,7 +541,7 @@ def test_warm_start_after_cuts_and_fixings(seed, form, monkeypatch):
     for the guess form (d) appended cut rows under a smaller guess (another
     right-hand side), given the parent's basis statuses (refactorized) or
     the parent's whole solution (derived from its kernel, each time from the
-    same one): the start holds, the answer is scipy's and no primal pivot
+    same one): the start holds, the answer is scipy's and phase 1 never
     runs."""
 
     rng = np.random.default_rng(7300 + seed)
@@ -514,6 +575,7 @@ def test_warm_start_after_cuts_and_fixings(seed, form, monkeypatch):
         children["guess"] = (smaller, (fix1, fix0, new_cuts))
 
     accepted = count_warm_starts(monkeypatch)
+    entries = count_phase_one(monkeypatch)
     start, kind = ((parent.basis_status, REFACTORIZED) if form == "statuses"
                    else (parent, DERIVED))
     for name, (child_mip, child) in children.items():
@@ -522,7 +584,7 @@ def test_warm_start_after_cuts_and_fixings(seed, form, monkeypatch):
         ref = _scipy_reference(model)
         assert accepted[-1], name
         assert warm.start_kind == kind, name
-        assert warm.primal_pivots == 0, name
+        assert entries == [], name
         if ref.status == 2:
             assert warm.status is LpStatus.INFEASIBLE, name
             continue
@@ -569,7 +631,7 @@ def test_derived_chain_refactorizes_on_cadence(monkeypatch):
         assert earlier.kernel is None
         assert sol.start_kind == DERIVED
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.primal_pivots == 0 and sol.dual_pivots < every
+        assert sol.dual_pivots < every
         total += sol.dual_pivots
         cold = solve_lp(model)
         assert sol.objective_value == pytest.approx(
@@ -720,11 +782,12 @@ def _shrunk(rng, model: LpModel, infeasible: bool) -> LpModel:
 def test_bound_flipping_ratio_test_matches_scipy(infeasible, monkeypatch):
     """Boxed LPs, and their shrunk (and, for the infeasible case, made
     infeasible) children solved cold and warm from the parent's basis:
-    scipy's status and objective, no primal pivot, every start accepted,
-    and the dual pass flips bounds both cold and warm."""
+    scipy's status and objective, no phase 1, every start accepted, and
+    the dual pass flips bounds both cold and warm."""
 
     rng = np.random.default_rng(8100 + infeasible)
     accepted = count_warm_starts(monkeypatch)
+    entries = count_phase_one(monkeypatch)
     flips = {"cold": 0, "warm": 0}
     for _ in range(80):
         parent = _boxed_lp(rng)
@@ -737,7 +800,7 @@ def test_bound_flipping_ratio_test_matches_scipy(infeasible, monkeypatch):
                                  ("cold", solve_lp(child), child),
                                  ("warm", warm, child)):
             flips[name] += sol.dual_flips
-            assert sol.primal_pivots == 0, name
+            assert entries == [], name
             ref = _scipy_reference(built)
             if infeasible and built is child:
                 assert ref.status == 2, name
