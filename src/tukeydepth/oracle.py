@@ -12,9 +12,14 @@ the exception: it answers with one alternative LP through ``solve_lp``.
 The general enumeration costs C(n, d-1) * n inner products for n rows.  It
 draws the subsets lazily and works through them one fixed-size chunk at a
 time, so its memory is that of one chunk whatever n and d are: about 1 MB
-where the whole subset family would need gigabytes (n=50, d=6).  This is the
-enumeration of Rousseeuw & Struyf (Stat. Comput. 8, 1998) and Dyckerhoff &
-Mozharovskyi (CSDA 98, 2016), without their speed-ups.
+where the whole subset family would need gigabytes (n=50, d=6).  A subset's
+normal is its vector of signed cofactors, built by Laplace expansion one row
+at a time over the whole chunk: about d * 2**(d-1) vector products per
+chunk, which takes the whole enumeration a quarter to a half of the time
+that d batched LU factorizations of the minors (numpy's ``det``) take at
+d = 5-8.  This is the enumeration of Rousseeuw & Struyf (Stat. Comput. 8,
+1998) and Dyckerhoff & Mozharovskyi (CSDA 98, 2016), without their
+speed-ups.
 """
 
 from __future__ import annotations
@@ -83,18 +88,38 @@ def oracle_depth_2d(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
     return int(counts.min()) + sys.zero_offset
 
 
-def _subset_normals(rows: np.ndarray, combos: np.ndarray,
+def _subset_normals(rows_t: np.ndarray, combos: np.ndarray,
                     gp_tol: float) -> np.ndarray:
-    """Unit normals to the span of each (d-1)-subset via cofactor expansion."""
+    """Unit normals to the span of each (d-1)-subset of the rows, which
+    ``rows_t`` holds as columns.
 
-    d = rows.shape[1]
-    mats = rows[combos]  # (K, d-1, d)
-    K = mats.shape[0]
-    normals = np.empty((K, d))
-    cols = np.arange(d)
+    Normal i is the cofactor (-1)**i det(T without column i) of the
+    subset's (d-1, d) matrix T, by Laplace expansion one row at a time:
+    ``minors`` maps each set S of k+1 columns to the determinants, over the
+    chunk, of the first k+1 rows restricted to S, and the next level expands
+    each larger set along the next row.  For d = 2 that is exactly
+    (a1, -a0).  numpy's ``det`` pivots and returns sign * exp(log|det|), so
+    it rounds differently (not even a 1x1 determinant is exact there); on
+    unit rows the two agree within 1e-12, which only a norm or an inner
+    product within rounding of ``gp_tol`` could tell.
+    """
+
+    d = rows_t.shape[0]
+    entries = rows_t[:, combos.T]  # entries[j, r]: column j of each row r
+    minors = {(j,): entries[j, 0] for j in range(d)}
+    for r in range(1, d - 1):
+        expanded = {}
+        for cols in itertools.combinations(range(d), r + 1):
+            det = 0.0
+            for t, j in enumerate(cols):
+                term = entries[j, r] * minors[cols[:t] + cols[t + 1:]]
+                det = det - term if (r + t) % 2 else det + term
+            expanded[cols] = det
+        minors = expanded
+    normals = np.empty((combos.shape[0], d))
     for i in range(d):
-        minor = mats[:, :, cols != i]
-        normals[:, i] = ((-1.0) ** i) * np.linalg.det(minor)
+        minor = minors[tuple(j for j in range(d) if j != i)]
+        normals[:, i] = minor if i % 2 == 0 else -minor
     norms = np.linalg.norm(normals, axis=1)
     if np.any(norms <= gp_tol):
         raise GeneralPositionError(
@@ -117,9 +142,11 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
     memory stays that of one chunk's normals and dot matrix.  Every subset is
     enumerated and passes both general-position tests, even once the depth
     reaches 0, so an input is rejected exactly when some subset fails one.
-    The weights on each side of a normal are summed as float64 (one BLAS
-    product), which is exact: every partial sum is an integer no larger than
-    the total weight, and that is below 2**53.  Past it the sums stay int64.
+    Each side's weight and row count come from one product of its
+    comparison matrix with [weights | 1]; the rows on the hyperplane are the
+    rest, as every inner product is finite.  The sums are float64 (BLAS),
+    which is exact: every partial sum is an integer no larger than the total
+    weight or m, and that is below 2**53.  Past it the sums stay int64.
     """
 
     d = sys.dim
@@ -144,6 +171,8 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
 
     total = int(w.sum())
     side_w = w.astype(np.float64) if total < _EXACT_FLOAT_SUM else w
+    weigh = np.column_stack([side_w, np.ones_like(side_w)])
+    rows_t = np.ascontiguousarray(rows.T)
     subsets = itertools.combinations(range(m), d - 1)
     per_chunk = max(1, _CHUNK_ENTRIES // m)
     best = total
@@ -153,17 +182,16 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
         combos = np.fromiter(flat, np.intp).reshape(-1, d - 1)
         if not len(combos):
             return best + sys.zero_offset
-        normals = _subset_normals(rows, combos, gp_tol)
-        dots = normals @ rows.T  # (chunk, m)
+        normals = _subset_normals(rows_t, combos, gp_tol)
+        dots = normals @ rows_t  # (chunk, m)
 
-        on_plane = np.abs(dots) <= gp_tol
-        if int(on_plane.sum(axis=1).max()) >= d:
+        neg = (dots < -gp_tol) @ weigh
+        pos = (dots > gp_tol) @ weigh
+        # Every dot is finite, so the rest are those with |dot| <= gp_tol.
+        if (m - neg[:, 1] - pos[:, 1]).max() >= d:
             raise GeneralPositionError(
                 "d or more rows lie on a common hyperplane through the origin")
-
-        neg = (dots < -gp_tol) @ side_w
-        pos = (dots > gp_tol) @ side_w
-        best = min(best, int(neg.min()), int(pos.min()))
+        best = min(best, int(neg[:, 0].min()), int(pos[:, 0].min()))
 
 
 def is_depth_zero(sys: InfeasibleSystem) -> bool:

@@ -131,9 +131,10 @@ class LpNumericsError(RuntimeError):
 class LpModel:
     """min objective . v subject to row_coeffs v (sense) rhs, lower <= v <= upper.
 
-    All arrays are dense.  A lower bound may be -inf, an upper bound +inf
-    and a right-hand side infinite; nothing else may be NaN or infinite.
-    Senses must be ``Sense`` members, which the solve checks.
+    All arrays are dense.  A lower bound may be -inf and an upper bound
+    +inf; nothing else may be NaN or infinite.  An infinite right-hand side
+    would give its slack an infinite value, whose NaN violation hides every
+    other row's.  Senses must be ``Sense`` members, which the solve checks.
     """
 
     objective: np.ndarray
@@ -156,8 +157,8 @@ class LpModel:
         if not (np.isfinite(self.objective).all()
                 and np.isfinite(self.row_coeffs).all()):
             raise ValueError("objective and rows must be finite")
-        if np.isnan(self.rhs).any():
-            raise ValueError("right-hand side is NaN")
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("right-hand side must be finite")
         if not ((self.lower < INF) & (self.upper > -INF)
                 & (self.lower <= self.upper)).all():
             raise ValueError("bounds need lower <= upper, lower < inf and "

@@ -39,13 +39,13 @@ def outside_hull_system(seed: int, n: int, d: int):
     return build_system(PointSet(d, pts, q))
 
 
-def screen_system(k: int, seed: int = 1):
+def screen_system(k: int, seed: int = 1, attempt: int = 0):
     """The outermost point of a 201-point Gaussian cloud, left out of it,
     against the other 200 (depth 0), drawn as the screening benchmark draws
-    its first attempt; d alternates between 2 and 3."""
+    the given attempt; d alternates between 2 and 3."""
 
     d = 2 + k % 2
-    pts = np.random.default_rng([seed, k, 0]).normal(size=(201, d))
+    pts = np.random.default_rng([seed, k, attempt]).normal(size=(201, d))
     q = int(np.argmax(np.linalg.norm(pts, axis=1)))
     return build_system(PointSet(d, np.delete(pts, q, axis=0), pts[q]))
 

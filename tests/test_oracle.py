@@ -10,7 +10,7 @@ from tukeydepth.model import InfeasibleSystem, PointSet, build_system
 from tukeydepth.oracle import (GP_TOL, GeneralPositionError, is_depth_zero,
                                oracle_depth_2d, oracle_depth_general)
 
-from conftest import gaussian_system, outside_hull_system
+from conftest import gaussian_system, outside_hull_system, screen_system
 
 
 def test_planar_examples(simplex_sys, square_sys, outside_sys):
@@ -116,15 +116,33 @@ def test_depth_range():
         assert 0 <= depth <= sys_.total_weight
 
 
+def det_normals(rows: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """Reference: the cofactor normals of each (d-1)-subset by one LAPACK
+    determinant per column, with the same norm test and normalization as
+    the oracle."""
+
+    d = rows.shape[1]
+    mats = rows[combos]  # (K, d-1, d)
+    normals = np.empty((mats.shape[0], d))
+    cols = np.arange(d)
+    for i in range(d):
+        normals[:, i] = ((-1.0) ** i) * np.linalg.det(mats[:, :, cols != i])
+    norms = np.linalg.norm(normals, axis=1)
+    if np.any(norms <= GP_TOL):
+        raise GeneralPositionError("a (d-1)-subset is linearly dependent")
+    return normals / norms[:, None]
+
+
 def unchunked_depth(sys_: InfeasibleSystem) -> int:
     """Reference: the enumeration in its direct form, every (d-1)-subset,
-    normal and inner product at once, with int64 weight sums.  Defined for
-    d >= 2 and more rows than dimensions."""
+    determinant-based normal and inner product at once, with the on-plane
+    test on |dot| and int64 weight sums.  Defined for d >= 2 and more rows
+    than dimensions."""
 
     d, gp_tol = sys_.dim, GP_TOL
     rows = oracle._unit_rows(sys_)
     combos = np.array(list(itertools.combinations(range(sys_.n_rows), d - 1)))
-    normals = oracle._subset_normals(rows, combos, gp_tol)
+    normals = det_normals(rows, combos)
     dots = normals @ rows.T
     if int((np.abs(dots) <= gp_tol).sum(axis=1).max()) >= d:
         raise GeneralPositionError("d or more rows on a hyperplane")
@@ -224,11 +242,14 @@ def test_degenerate_subset_in_last_chunk_is_still_rejected(d, n):
     assert oracle_depth_general(healthy) == 0
 
 
-def test_memory_is_bounded_by_one_chunk():
+@pytest.mark.parametrize("n, d", [(200, 3), (24, 6)])
+def test_memory_is_bounded_by_one_chunk(n, d):
     """A 200-point cloud in d=3 has 19900 subsets; built at once their
-    normals and dot matrix took about 70 MB."""
+    normals and dot matrix took about 70 MB.  At n=24, d=6 (42504 subsets)
+    the expansion holds two levels of one chunk's minors, at most 35
+    vectors, at a time."""
 
-    sys_, _, _ = gaussian_system(9900, 200, 3)
+    sys_, _, _ = gaussian_system(9900, n, d)
     tracemalloc.start()
     try:
         oracle_depth_general(sys_)
@@ -236,3 +257,65 @@ def test_memory_is_bounded_by_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_expanded_normals_match_determinants(d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(3 * d, d))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    combos = np.array([rng.choice(len(rows), d - 1, replace=False)
+                       for _ in range(400)])
+    expanded = oracle._subset_normals(np.ascontiguousarray(rows.T), combos,
+                                      GP_TOL)
+    reference = det_normals(rows, combos)
+    assert np.abs(expanded - reference).max() <= 1e-12
+    assert np.all(np.sum(expanded * reference, axis=1) > 0)
+    if d == 2:
+        # The exact cofactors (a1, -a0); the determinant reference is not
+        # bit-exact even here, as numpy returns sign * exp(log|det|).
+        a = rows[combos[:, 0]]
+        exact = np.column_stack([a[:, 1], -a[:, 0]])
+        exact /= np.linalg.norm(exact, axis=1)[:, None]
+        assert np.array_equal(expanded, exact)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_enumeration_needs_no_determinant(d, monkeypatch):
+    sys_, _, _ = gaussian_system(9950 + d, 2 * d + 4, d)
+    expected = unchunked_depth(sys_)
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    assert oracle_depth_general(sys_) == expected
+
+
+def corpus_draw(i: int, attempt: int) -> InfeasibleSystem:
+    """Attempt `attempt` of acceptance-corpus instance i: a Gaussian cloud
+    of n = 8 + 7i mod 23 points in d = 2 + i mod 4 from seed
+    10_000 + i + 7919 * attempt, against the origin."""
+
+    n, d = 8 + (i * 7) % 23, 2 + i % 4
+    rng = np.random.default_rng(10_000 + i + 7919 * attempt)
+    return build_system(PointSet(d, rng.normal(size=(n, d)), np.zeros(d)))
+
+
+@pytest.mark.parametrize("i", range(0, 200, 7))
+def test_corpus_draws_match_determinant_reference(i):
+    """The benchmark redraws a cloud whenever the oracle rejects it, so one
+    flipped verdict would change its instances."""
+
+    for attempt in range(3):
+        sys_ = corpus_draw(i, attempt)
+        assert verdict(oracle_depth_general, sys_) == \
+            verdict(unchunked_depth, sys_)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_screen_draws_match_determinant_reference(k):
+    for attempt in range(3):
+        sys_ = screen_system(k, 1, attempt)
+        assert verdict(oracle_depth_general, sys_) == \
+            verdict(unchunked_depth, sys_)

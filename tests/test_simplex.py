@@ -97,11 +97,20 @@ _NAN = float("nan")
                  id="lower-plus-inf"),
     pytest.param([1], [[1]], [Sense.GE], [0.5], [-INF], [-INF],
                  id="upper-minus-inf"),
+    pytest.param([1], [[1], [1]], [Sense.GE, Sense.LE], [1, INF], [0], [10],
+                 id="inf-rhs-le"),
+    pytest.param([1], [[1], [1]], [Sense.GE, Sense.GE], [1, INF], [0], [10],
+                 id="inf-rhs-ge"),
+    pytest.param([1], [[1], [1]], [Sense.GE, Sense.LE], [1, -INF], [0], [10],
+                 id="minus-inf-rhs-le"),
+    pytest.param([1], [[1], [1]], [Sense.GE, Sense.GE], [1, -INF], [0], [10],
+                 id="minus-inf-rhs-ge"),
 ])
 def test_lp_model_refuses_what_it_cannot_solve(obj, rows, senses, rhs, lower,
                                                upper):
     # A sense that is not a Sense member used to solve as <=, a NaN to come
-    # back OPTIMAL, and a +inf lower bound as OPTIMAL at inf.
+    # back OPTIMAL, a +inf lower bound as OPTIMAL at inf, and an infinite
+    # right-hand side as OPTIMAL at x = 0 although x >= 1.
     with pytest.raises(ValueError):
         solve_lp(lp(obj, rows, senses, rhs, lower, upper))
 
