@@ -135,7 +135,7 @@ def _result_payload(result: DepthResult) -> dict:
     }
 
 
-def _emit_json(payload: dict, dest: str) -> None:
+def _emit_json(payload: dict | list, dest: str) -> None:
     text = json.dumps(payload, indent=2)
     if dest == "-":
         print(text)
@@ -148,6 +148,17 @@ def _load_system(args):
     return build_system(ps)
 
 
+def _exit_code(result: DepthResult, allow_unverified: bool) -> int:
+    if not result.exact:
+        log.warning("budget exhausted: depth in [%d, %d]",
+                    result.lower_bound, result.depth)
+        return EXIT_SOLVE
+    if result.certificate != "verified" and not allow_unverified:
+        log.warning("certificate not verified")
+        return EXIT_CERTIFICATE
+    return EXIT_OK
+
+
 def _cmd_solve(args, solver) -> int:
     sys_ = _load_system(args)
     result = solver(sys_, _config_from_args(args))
@@ -155,14 +166,7 @@ def _cmd_solve(args, solver) -> int:
         _emit_json(_result_payload(result), args.json)
     else:
         print(result.depth)
-    if not result.exact:
-        log.warning("budget exhausted: depth in [%d, %d]",
-                    result.lower_bound, result.depth)
-        return EXIT_SOLVE
-    if result.certificate != "verified" and not args.allow_unverified:
-        log.warning("certificate not verified")
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return _exit_code(result, args.allow_unverified)
 
 
 def _cmd_heuristic(args) -> int:
@@ -205,15 +209,22 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    """One table row per instance, "unverified" after a failed certificate;
+    ``--json`` writes the payloads with their file names instead of the
+    table when it goes to standard output.  Exits with the highest code."""
+
     instances = sorted(Path(args.dir).glob("*.txt"))
     if not instances:
         print(f"no *.txt instances under {args.dir}", file=sys.stderr)
         return EXIT_USAGE
     solver = solve_depth_binary if args.algorithm == "binsearch" else solve_depth
     cfg = _config_from_args(args)
-    header = f"{'Instance':<24} {'Num':>5} {'Dim':>4} {'Dep':>5} {'Nod':>7} {'Tim':>9}"
-    print(header)
+    table = args.json != "-"
+    if table:
+        print(f"{'Instance':<24} {'Num':>5} {'Dim':>4} {'Dep':>5} {'Nod':>7} "
+              f"{'Tim':>9}")
     worst = EXIT_OK
+    payloads = []
     for inst in instances:
         ps = read_points(inst, args.query, args.query_coords)
         sys_ = build_system(ps)
@@ -221,10 +232,14 @@ def _cmd_bench(args) -> int:
         result = solver(sys_, cfg)
         elapsed = time.monotonic() - t0
         dep = str(result.depth) if result.exact else f"<={result.depth}"
-        print(f"{inst.name:<24} {ps.n_points:>5} {ps.dim:>4} "
-              f"{dep:>5} {result.stats.nodes:>7} {elapsed:>9.2f}")
-        if not result.exact:
-            worst = max(worst, EXIT_SOLVE)
+        note = "" if result.certificate == "verified" else " unverified"
+        if table:
+            print(f"{inst.name:<24} {ps.n_points:>5} {ps.dim:>4} "
+                  f"{dep:>5} {result.stats.nodes:>7} {elapsed:>9.2f}{note}")
+        payloads.append({"instance": inst.name, **_result_payload(result)})
+        worst = max(worst, _exit_code(result, args.allow_unverified))
+    if args.json:
+        _emit_json(payloads, args.json)
     return worst
 
 

@@ -14,9 +14,9 @@ than an earlier one derives from that one's final kernel state (see
 ``simplex``).  From the optimum,
 x is the negated duals of the d equality rows, e_j = max(0, 1 - <a_j, x>)
 on the active rows, the row sensitivities (the row form's duals) are y, and
-the optimal objective (SINF) is 1.y.  SINF, the count of e_j above
-``VIOL_TOL`` (NINF), the e_j and the sensitivities drive both the
-incumbent heuristic and the greedy branching score.
+the optimal objective (SINF) is 1.y.  The count of e_j above ``VIOL_TOL``
+(NINF) ends the heuristic; ``greedy_row`` scores rows by the e_j and the
+sensitivities, for the heuristic and for greedy branching alike.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InfeasibleSystem
-from .simplex import INF, LpCounter, LpModel, LpSolution, Sense, solve_lp
+from .simplex import LpCounter, LpModel, LpSolution, Sense, solve_lp
 
-__all__ = ["ElasticSolution", "solve_elastic", "chinneck_cover", "VIOL_TOL"]
+__all__ = ["ElasticSolution", "solve_elastic", "greedy_row", "chinneck_cover",
+           "VIOL_TOL"]
 
 # An elastic variable above VIOL_TOL counts its row as violated.
 VIOL_TOL = 1e-7
@@ -104,16 +105,18 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
                            sol)
 
 
-def _fast_candidates(sol: ElasticSolution, alive: list[int]) -> list[int]:
-    """The violated row with the largest violation x |sensitivity| and the
-    satisfied row with the largest |sensitivity|; ties go to the lower
-    index."""
+def greedy_row(sol: ElasticSolution, rows) -> int:
+    """The row of ``rows`` whose removal ``sol`` scores highest: the
+    violated row with the largest violation x |sensitivity|, else the row
+    with the largest |sensitivity|; ties go to the lowest index."""
 
-    viol = [(-sol.violations[j] * abs(sol.sensitivities[j]), j)
-            for j in alive if sol.violations[j] > VIOL_TOL]
-    sat = [(-abs(sol.sensitivities[j]), j)
-           for j in alive if sol.violations[j] <= VIOL_TOL]
-    return sorted({min(group)[1] for group in (viol, sat) if group})
+    idx = np.fromiter(rows, dtype=np.intp)
+    score = np.abs(sol.sensitivities[idx])
+    violations = sol.violations[idx]
+    hit = violations > VIOL_TOL
+    if hit.any():
+        idx, score = idx[hit], violations[hit] * score[hit]
+    return int(idx[score == score.max()].min())
 
 
 def _mean_direction(sys: InfeasibleSystem):
@@ -138,20 +141,17 @@ def chinneck_cover(sys: InfeasibleSystem, counter: LpCounter | None = None
 
     First tries the weighted mean of the rows: when it separates every row
     with a unit margin above ``VIOL_TOL``, the cover is empty and no LP
-    runs.  Otherwise solves the elastic program and tries deleting each of
-    at most two candidate rows: the violated row with the largest violation
-    x |sensitivity| and the satisfied row with the largest |sensitivity|
-    (Chinneck's fast candidate list, top one of each).  It permanently
-    deletes the candidate whose removal gives the smallest SINF; that
-    winning trial is the elastic solution of the next step.  Every trial
-    derives from the current solution's LP.  Stops when nothing is
-    violated; a single violated row is taken directly into the cover since
-    it alone blocks feasibility of the current system.  Terminates in at
-    most n steps because every step deletes at least one row for good.
+    runs.  Otherwise solves the elastic program and, while a row is
+    violated, deletes ``greedy_row`` of the current solution over the rows
+    still alive (Chinneck's fast heuristic with a one-row candidate list);
+    the one elastic LP over the larger deleted set derives from the current
+    one and is the next step's solution.  A single violated row goes into
+    the cover with no further LP: it alone blocks the current system.  At
+    most n steps, each deleting one row for good.
 
     Returns (cover, x, root).  x is the scaled mean, or else the last
     elastic solution's direction: <a_j, x> >= 1 - VIOL_TOL on every row
-    outside the cover, since the row taken directly was its only violated
+    outside the cover, since the row taken last was its only violated
     one.  root is the first elastic solution, over all rows, and None when
     the mean closed the cover.
     """
@@ -162,19 +162,9 @@ def chinneck_cover(sys: InfeasibleSystem, counter: LpCounter | None = None
     cover: set[int] = set()
     root = sol = solve_elastic(sys, cover, counter)
     while sol.ninf > 0:
-        alive = [j for j in range(sys.n_rows) if j not in cover]
+        cover.add(greedy_row(sol, [j for j in range(sys.n_rows)
+                                   if j not in cover]))
         if sol.ninf == 1:
-            only = next(j for j in alive if sol.violations[j] > VIOL_TOL)
-            cover.add(only)
             break
-
-        best_j = -1
-        best_sinf = INF
-        best_resolve: ElasticSolution | None = None
-        for j in _fast_candidates(sol, alive):
-            trial = solve_elastic(sys, cover | {j}, counter, start=sol.lp)
-            if trial.sinf < best_sinf - 1e-12:
-                best_j, best_sinf, best_resolve = j, trial.sinf, trial
-        cover.add(best_j)
-        sol = best_resolve
+        sol = solve_elastic(sys, cover, counter, start=sol.lp)
     return cover, sol.x, root

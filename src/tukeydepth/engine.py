@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
-from .elastic import VIOL_TOL, ElasticSolution, chinneck_cover, solve_elastic
+from .elastic import (ElasticSolution, chinneck_cover, greedy_row,
+                      solve_elastic)
 from .model import InfeasibleSystem, ParamBounds
 from .simplex import (COLD, DERIVED, INF, REFACTORIZED, LpCounter, LpModel,
                       LpSolution, LpStatus, Sense, solve_lp)
@@ -381,9 +382,8 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
     as ``node.elastic``.  The inherited solution is reused when it removed
     the same rows and is derived from otherwise, since removing a row only
     bounds its dual-form column to 0 (see ``elastic``).  The fractional row
-    with the largest estimated infeasibility drop (violation x |sensitivity|
-    for violated rows, |sensitivity| alone for satisfied ones) wins,
-    violated rows first.  strong: for the most fractional
+    is ``elastic.greedy_row`` of that solution, the rule the incumbent
+    heuristic deletes rows by.  strong: for the most fractional
     candidates, solve both child relaxations, each derived from the node
     LP, and keep the variable whose worse child bound is best.
     All ties go to the lowest row index.
@@ -404,18 +404,7 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
             node.elastic = solve_elastic(
                 mip.sys, node.fixed1, counter,
                 start=None if parent is None else parent.lp)
-        el = node.elastic
-        violated = [j for j in fractional if el.violations[j] > VIOL_TOL]
-        pool = violated if violated else fractional
-        best_j, best_score = pool[0], -1.0
-        for j in pool:
-            if el.violations[j] > VIOL_TOL:
-                score = el.violations[j] * abs(el.sensitivities[j])
-            else:
-                score = abs(el.sensitivities[j])
-            if score > best_score + 1e-15:
-                best_j, best_score = j, score
-        return best_j
+        return greedy_row(node.elastic, fractional)
 
     if cfg.branch_rule != "strong":
         raise ValueError(f"unknown branch rule {cfg.branch_rule!r}")
@@ -576,6 +565,10 @@ class BranchCutEngine:
                 break
             active = active + tuple(fresh)
             new_cut_count += len(fresh)
+            # The optimum already satisfies every new row, so a re-solve
+            # would return it unchanged; a later node's LP carries them.
+            if not any(c.violated_by(s) for c in fresh):
+                break
 
             iteration += 1
             prev_obj = obj

@@ -333,6 +333,66 @@ def test_bench_table(tmp_path, triangle_file, square_file, capsys):
     assert out[2].split()[3] == "2"
 
 
+def _bench_dir(tmp_path, *files):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    for name, f in zip("abc", files):
+        (bench / f"{name}.txt").write_text(f.read_text())
+    return bench
+
+
+def test_bench_writes_json(tmp_path, triangle_file, square_file, capsys):
+    """``bench --json`` writes one ``depth --json`` payload per instance,
+    with the instance's file name, in table order."""
+
+    bench = _bench_dir(tmp_path, triangle_file, square_file)
+    out = tmp_path / "bench.json"
+    rc = run(["bench", str(bench), "--query-coords", "0", "0",
+              "--json", str(out)])
+    assert rc == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    payloads = json.loads(out.read_text())
+    assert [p["instance"] for p in payloads] == ["a.txt", "b.txt"]
+    assert [p["depth"] for p in payloads] == [1, 2]
+    single = tmp_path / "square.json"
+    assert run(["depth", str(square_file), "--query-coords", "0", "0",
+                "--json", str(single)]) == EXIT_OK
+    expected = json.loads(single.read_text())
+    assert payloads[1].keys() == {"instance"} | expected.keys()
+    for key in ("schema", "depth", "cover", "certificate", "exact"):
+        assert payloads[1][key] == expected[key]
+
+
+def test_bench_json_to_stdout_replaces_the_table(tmp_path, triangle_file,
+                                                 capsys):
+    bench = _bench_dir(tmp_path, triangle_file)
+    rc = run(["bench", str(bench), "--query-coords", "0", "0",
+              "--json", "-"])
+    assert rc == EXIT_OK
+    payloads = json.loads(capsys.readouterr().out)
+    assert [(p["instance"], p["depth"]) for p in payloads] == [("a.txt", 1)]
+
+
+def test_bench_unverified_exit(tmp_path, triangle_file, square_file, capsys):
+    """A certificate margin of 10 cannot be met: ``bench`` marks the rows,
+    exits as ``depth`` does and honours --allow-unverified."""
+
+    argv = ["--query-coords", "0", "0", "--cert-tol", "10"]
+    assert run(["depth", str(square_file), *argv]) == EXIT_CERTIFICATE
+    capsys.readouterr()
+    bench = _bench_dir(tmp_path, triangle_file, square_file)
+    out = tmp_path / "bench.json"
+    assert run(["bench", str(bench), *argv, "--json", str(out)]) \
+        == EXIT_CERTIFICATE
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["unverified"] * 2
+    assert [p["certificate"] for p in json.loads(out.read_text())] \
+        == ["unverified"] * 2
+    assert run(["bench", str(bench), *argv, "--allow-unverified"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["unverified"] * 2
+
+
 def test_bench_empty_dir(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()

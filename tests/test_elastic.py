@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tukeydepth import elastic
-from tukeydepth.elastic import (VIOL_TOL, _fast_candidates, chinneck_cover,
-                                solve_elastic)
+from tukeydepth.elastic import (VIOL_TOL, ElasticSolution, chinneck_cover,
+                                greedy_row, solve_elastic)
+from tukeydepth.engine import solve_depth
 from tukeydepth.model import PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d
 from tukeydepth.simplex import INF, LpCounter, LpModel, Sense, solve_lp
@@ -76,48 +77,179 @@ def test_cover_feasibility_and_admissibility(seed):
     assert len(cover) <= sys_.n_rows
 
 
-def _top_candidates(sol, alive):
-    """The violated row with the largest violation x |sensitivity| and the
-    satisfied row with the largest |sensitivity|, each the lowest index
-    among equal scores."""
+def _reference_greedy_row(sol, rows):
+    """``greedy_row`` spelled out: the violated row with the largest
+    violation x |sensitivity|, else the row with the largest |sensitivity|,
+    the lowest index among equal scores."""
 
-    picked = set()
-    for violated in (True, False):
-        scores = {j: (sol.violations[j] * abs(sol.sensitivities[j])
-                      if violated else abs(sol.sensitivities[j]))
-                  for j in alive if (sol.violations[j] > VIOL_TOL) == violated}
-        if scores:
-            top = max(scores.values())
-            picked.add(min(j for j, v in scores.items() if v == top))
-    return picked
+    violated = [j for j in rows if sol.violations[j] > VIOL_TOL]
+    if violated:
+        scores = {j: sol.violations[j] * abs(sol.sensitivities[j])
+                  for j in violated}
+    else:
+        scores = {j: abs(sol.sensitivities[j]) for j in rows}
+    top = max(scores.values())
+    return min(j for j, v in scores.items() if v == top)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_chinneck_tries_the_top_candidates(seed, monkeypatch):
-    """Each step of the heuristic tries exactly the top violated and the
-    top satisfied row of the step's elastic solution, each trial removing
-    one of them on top of that solution's rows."""
+def test_chinneck_removes_the_greedy_row(seed, monkeypatch):
+    """Each step of the heuristic runs one elastic solve: it removes
+    ``greedy_row`` of the previous solution over the rows still alive, on
+    top of that solution's rows, and starts from that solution's LP."""
 
     sys_, _, _ = gaussian_system(3100 + seed, 10 + seed, 2 + seed % 3)
     solve = elastic.solve_elastic
-    solved, trials = {}, {}
+    solves = []
 
     def spy(sys_, removed, counter=None, start=None):
         sol = solve(sys_, removed, counter, start=start)
-        solved[id(sol.lp)] = sol
-        if start is not None:
-            trials.setdefault(id(start), set()).add(frozenset(removed))
+        solves.append((start, sol))
         return sol
 
     monkeypatch.setattr(elastic, "solve_elastic", spy)
-    chinneck_cover(sys_)
-    assert trials
-    for key, removed_sets in trials.items():
-        step = solved[key]
-        alive = [j for j in range(sys_.n_rows) if j not in step.removed]
-        expected = _top_candidates(step, alive)
-        assert _fast_candidates(step, alive) == sorted(expected)
-        assert removed_sets == {step.removed | {j} for j in expected}
+    cover, x, root = chinneck_cover(sys_)
+    assert len(solves) >= 2
+    assert solves[0][0] is None and solves[0][1] is root
+    steps = [sol for _, sol in solves]
+    for prev, (start, sol) in zip(steps, solves[1:]):
+        alive = [j for j in range(sys_.n_rows) if j not in prev.removed]
+        j = _reference_greedy_row(prev, alive)
+        assert greedy_row(prev, alive) == j
+        assert prev.violations[j] > VIOL_TOL
+        assert sol.removed == prev.removed | {j}
+        assert start is prev.lp
+    last = steps[-1]
+    taken = ({_reference_greedy_row(last, range(sys_.n_rows))}
+             if last.ninf else set())
+    assert last.ninf <= 1
+    assert cover == set(last.removed) | taken
+    assert np.array_equal(x, last.x)
+
+
+def _solution(violations, sensitivities):
+    violations = np.asarray(violations, dtype=float)
+    return ElasticSolution(float(violations.sum()),
+                           int(np.count_nonzero(violations > VIOL_TOL)),
+                           violations, np.asarray(sensitivities, dtype=float),
+                           np.zeros(2), frozenset())
+
+
+def test_greedy_row_ties_go_to_the_lowest_index():
+    # Rows 1 and 3 tie at violation x |sensitivity| = 1; row 0 has the
+    # largest |sensitivity| but is satisfied, row 4 is violated only within
+    # VIOL_TOL.
+    sol = _solution([0.0, 0.5, 0.25, 2.0, VIOL_TOL / 2],
+                    [9.0, -2.0, 4.0, 0.5, 100.0])
+    assert greedy_row(sol, range(5)) == 1
+    assert greedy_row(sol, [4, 3, 2, 1, 0]) == 1
+    assert greedy_row(sol, [0, 2, 3, 4]) == 2
+    # With no violated row among the candidates, the largest |sensitivity|
+    # wins, the lowest index among equals.
+    assert greedy_row(sol, [0, 4]) == 4
+    sol = _solution([0.0] * 4, [1.0, -3.0, 3.0, 2.0])
+    assert greedy_row(sol, [3, 2, 1]) == 1
+    assert greedy_row(sol, [0, 3]) == 3
+
+
+def test_chinneck_breaks_ties_to_the_lowest_alive_row(square_sys, monkeypatch):
+    """The square's four corner rows tie exactly at the root: the heuristic
+    takes row 0, then the lowest-index best row among those left."""
+
+    calls = []
+    pick = elastic.greedy_row
+
+    def spy(sol, rows):
+        rows = list(rows)
+        j = pick(sol, rows)
+        calls.append((rows, j))
+        return j
+
+    monkeypatch.setattr(elastic, "greedy_row", spy)
+    root = solve_elastic(square_sys, set())
+    assert np.all(root.violations == root.violations[0])
+    assert np.all(root.sensitivities == root.sensitivities[0])
+    cover, _, _ = chinneck_cover(square_sys)
+    assert calls[0] == ([0, 1, 2, 3], 0)
+    removed = {0}
+    for rows, j in calls[1:]:
+        assert rows == [k for k in range(4) if k not in removed]
+        assert j == _reference_greedy_row(solve_elastic(square_sys, removed),
+                                          rows)
+        removed.add(j)
+    assert cover == removed and square_sys.weight_of(cover) == 2
+
+
+def _two_candidate_cover(sys_):
+    """The heuristic with a candidate list of two, as it stood before the
+    list was cut to one: each step tries removing the top violated and the
+    top satisfied row (each scored as by ``greedy_row``) and keeps the trial
+    with the smaller SINF."""
+
+    cover = set()
+    sol = solve_elastic(sys_, cover)
+    while sol.ninf > 0:
+        alive = [j for j in range(sys_.n_rows) if j not in cover]
+        violated = [j for j in alive if sol.violations[j] > VIOL_TOL]
+        if len(violated) == 1:
+            cover.add(violated[0])
+            break
+        satisfied = [j for j in alive if j not in violated]
+        candidates = sorted(_reference_greedy_row(sol, group)
+                            for group in (violated, satisfied) if group)
+        best = None
+        for j in candidates:
+            trial = solve_elastic(sys_, cover | {j}, start=sol.lp)
+            if best is None or trial.sinf < best[1].sinf - 1e-12:
+                best = (j, trial)
+        cover.add(best[0])
+        sol = best[1]
+    return cover
+
+
+def _corpus_system(i):
+    # The acceptance corpus recipe (bench/workloads.corpus_shape).
+    return gaussian_system(10_000 + i, 8 + (i * 7) % 23, 2 + i % 4)[0]
+
+
+def _duplicate_grid_system(seed):
+    """Integer points in {-2..2}^d against the origin, a third of them
+    repeated: duplicates, points on the query and rows in no general
+    position."""
+
+    rng = np.random.default_rng(4400 + seed)
+    d = 2 + seed % 3
+    pts = rng.integers(-2, 3, size=(int(rng.integers(8, 25)), d))
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 3)]])
+    return build_system(PointSet(d, pts.astype(float), np.zeros(d)))
+
+
+@pytest.mark.parametrize("draw", [
+    *(pytest.param(lambda i=i: _corpus_system(i), id=f"corpus-{i}")
+      for i in range(0, 200, 7)),
+    *(pytest.param(lambda s=s: _duplicate_grid_system(s), id=f"grid-{s}")
+      for s in range(30)),
+])
+def test_cover_never_heavier_than_two_candidates(draw):
+    sys_ = draw()
+    cover, x, _ = chinneck_cover(sys_)
+    assert solve_elastic(sys_, cover).ninf == 0
+    off = [j for j in range(sys_.n_rows) if j not in cover]
+    assert np.all(sys_.rows[off] @ x >= 1 - VIOL_TOL)
+    assert sys_.weight_of(cover) <= sys_.weight_of(_two_candidate_cover(sys_))
+
+
+def test_one_row_list_can_be_heavier_on_a_degenerate_grid():
+    """The one-row list is a heuristic, not a dominance: on this duplicate
+    grid (one of 300 seeds of the recipe above; 264 gave equal weights, 35 a
+    lighter cover, this one a heavier) it deletes weight 6 where two
+    candidates reach 5, the depth.  The exact solver still closes at 5."""
+
+    sys_ = _duplicate_grid_system(266)
+    assert sys_.weight_of(chinneck_cover(sys_)[0]) == 6
+    assert sys_.weight_of(_two_candidate_cover(sys_)) == 5
+    result = solve_depth(sys_)
+    assert result.depth == 5 and result.exact
 
 
 def test_cover_weighted_duplicates():

@@ -101,6 +101,34 @@ def test_bound_and_cut_prunes_by_bound(simplex_sys):
         assert out.objective > 0
 
 
+@pytest.mark.parametrize("members, resolves", [((0,), 0), ((1, 2, 3), 1)])
+def test_cut_round_resolves_only_for_a_violated_cut(square_sys, members,
+                                                    resolves, monkeypatch):
+    """A round whose fresh cuts the current optimum satisfies (row 0 is
+    fixed to 1, so s_0 >= 1) ends without a re-solve; a violated cut is
+    re-solved.  Either way the cut goes into the pool."""
+
+    cut = cuts.Cut(members)
+    monkeypatch.setattr(engine, "generate_cuts", lambda *args: [cut])
+    lps = []
+    solve = engine.solve_lp
+
+    def spy(*args, **kwargs):
+        lps.append(solve(*args, **kwargs))
+        return lps[-1]
+
+    monkeypatch.setattr(engine, "solve_lp", spy)
+    cfg = EngineConfig()
+    search = BranchCutEngine(mip_for(square_sys, cfg=cfg), cfg, CutPool())
+    out = search.bound_and_cut(Node(fixed1=frozenset({0})),
+                               incumbent_weight=10)
+    s = lps[0].primal[2:6]
+    assert cut.violated_by(s) == bool(resolves)
+    assert len(lps) == 1 + resolves
+    assert out.lp is lps[-1]
+    assert out.new_cut_count == 1 and cut in search.pool
+
+
 def test_bound_and_cut_square_root_relaxation(square_sys):
     cfg = EngineConfig()
     engine = BranchCutEngine(mip_for(square_sys, cfg=cfg), cfg, CutPool())
@@ -142,6 +170,36 @@ def test_select_branch_greedy_matches_scores(square_sys):
     best = max(scores.values())
     expected = min(j for j, v in scores.items() if v >= best - 1e-15)
     assert chosen == expected
+
+
+@pytest.mark.parametrize("fixed0, expected", [
+    (frozenset(), 0), (frozenset({0}), 1), (frozenset({0, 1}), 2)])
+def test_select_branch_greedy_breaks_ties_to_the_lowest_row(
+        square_sys, fixed0, expected, monkeypatch):
+    """The square's four corner rows tie exactly in the elastic solution:
+    greedy branching hands the fractional rows to ``greedy_row``, which
+    takes the lowest of them."""
+
+    calls = []
+    pick = engine.greedy_row
+
+    def spy(sol, rows):
+        calls.append(list(rows))
+        return pick(sol, rows)
+
+    monkeypatch.setattr(engine, "greedy_row", spy)
+    cfg = EngineConfig(branch_rule="greedy")
+    mip = mip_for(square_sys, cfg=cfg)
+    lp = solve_lp(mip.relaxation(fixed0=fixed0))
+    node = Node(fixed0=fixed0)
+    assert select_branch_variable(node, mip, lp, cfg) == expected
+    el = node.elastic
+    assert np.all(el.sensitivities == el.sensitivities[0])
+    assert np.all(el.violations == el.violations[0])
+    s = lp.primal[2:6]
+    assert calls == [[j for j in range(4) if j not in fixed0
+                      and 1e-9 < s[j] < 1 - 1e-9]]
+    assert expected == min(calls[0])
 
 
 def test_select_branch_strong_matches_child_bounds(square_sys):
