@@ -13,16 +13,15 @@ cuts and the cardinality row's right-hand side.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from .cuts import CutPool
 from .elastic import chinneck_cover
 from .engine import (BranchCutEngine, DepthResult, EngineConfig, MipForm,
-                     MipModel, SolveStats, _finalize, _info_log, _non_cover)
+                     MipModel, SolveStats, _Budget, _finalize, _info_log,
+                     _non_cover)
 from .model import InfeasibleSystem, ParamBounds
-from .simplex import LpCounter
 
 __all__ = ["solve_depth_binary"]
 
@@ -49,17 +48,17 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     A probe that finds no witness (no integral node with a margin above
     ``engine.EPS_POS``) proves the depth exceeds the guess; a witness pulls
     the upper bound down and is remembered as the certificate.  At most
-    ceil(log2(initial upper)) + 1 probes run.  A spent budget ends the
-    bisection with the depth bracketed in [lower, upper].
+    ceil(log2(initial upper)) + 1 probes run.  Every probe shares the
+    solve's budget, which the heuristic already draws on, and a spent one
+    ends the bisection with the depth bracketed in [lower, upper].
     """
 
     cfg = cfg or EngineConfig()
-    counter = LpCounter()
+    budget = _Budget(cfg)
     stats = SolveStats()
-    t0 = time.monotonic()
     pool = pool if pool is not None else CutPool()
 
-    best_cover, best_direction, root = chinneck_cover(sys, counter)
+    best_cover, best_direction, root = chinneck_cover(sys, stats)
     best_cover = frozenset(best_cover)
     upper = sys.weight_of(best_cover)
     stats.heuristic_weight = upper
@@ -72,20 +71,11 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
         guess = (lower + upper) // 2
         stats.guesses += 1
         stats.guess_values.append(guess)
-        probe_cfg = cfg
-        if cfg.time_limit is not None:
-            # The node budget is cumulative automatically (shared stats);
-            # the time budget needs the remaining allowance passed down.
-            remaining = cfg.time_limit - (time.monotonic() - t0)
-            if remaining <= 0:
-                exact = False
-                break
-            probe_cfg = replace(cfg, time_limit=remaining)
         mip = MipModel(sys, ParamBounds.for_system(sys, cfg.epsilon),
                        MipForm.GUESS, guess=guess)
         if log is not None:
             started, nodes0 = time.monotonic(), stats.nodes
-        engine = BranchCutEngine(mip, probe_cfg, pool, counter, stats, root,
+        engine = BranchCutEngine(mip, cfg, pool, stats, budget, root,
                                  None if engine is None else engine.root_lp)
         witness, direction, exact = engine.run_guess()
         if exact and witness is None:
@@ -103,8 +93,7 @@ def solve_depth_binary(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
         if not exact:
             break
 
-    result = _finalize(sys, best_cover, best_direction, stats, cfg, exact,
-                       upper if exact else lower, 0.0, counter)
+    result = _finalize(sys, best_cover, best_direction, stats, cfg, budget,
+                       exact, upper if exact else lower, 0.0)
     result.epsilon = _box_scaled_margin(sys, best_cover, result.direction)
-    result.stats.wall_time = time.monotonic() - t0
     return result

@@ -30,6 +30,10 @@ __all__ = [
     "generate_cuts",
 ]
 
+# A cut counts as violated when its members' values sum below 1 - CUT_TOL.
+CUT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Cut:
     """Sorted row-index set C encoding the inequality sum_{j in C} s_j >= 1."""
@@ -41,8 +45,8 @@ class Cut:
             raise ValueError("a cut needs at least one member")
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
-    def violated_by(self, s_values: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(sum(s_values[j] for j in self.members)) < 1.0 - tol
+    def violated_by(self, s_values: np.ndarray) -> bool:
+        return float(sum(s_values[j] for j in self.members)) < 1.0 - CUT_TOL
 
 
 class CutPool:

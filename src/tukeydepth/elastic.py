@@ -13,10 +13,10 @@ feasible under such bound changes, so an elastic LP that removes more rows
 than an earlier one derives from that one's final kernel state (see
 ``simplex``).  From the optimum,
 x is the negated duals of the d equality rows, e_j = max(0, 1 - <a_j, x>)
-on the active rows, the row sensitivities (the row form's duals) are y, and
-the optimal objective (SINF) is 1.y.  The count of e_j above ``VIOL_TOL``
-(NINF) ends the heuristic; ``greedy_row`` scores rows by the e_j and the
-sensitivities, for the heuristic and for greedy branching alike.
+on the active rows, and the row sensitivities (the row form's duals) are y.
+The count of e_j above ``VIOL_TOL`` (NINF) ends the heuristic;
+``greedy_row`` scores rows by the e_j and the sensitivities, for the
+heuristic and for greedy branching alike.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class ElasticSolution:
     rows.
     """
 
-    sinf: float
     ninf: int
     violations: np.ndarray
     sensitivities: np.ndarray
@@ -89,7 +88,7 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
     removed = frozenset(removed)
     n = sys.n_rows
     if len(removed) >= n:
-        return ElasticSolution(0.0, 0, np.zeros(n), np.zeros(n),
+        return ElasticSolution(0, np.zeros(n), np.zeros(n),
                                np.zeros(sys.dim), removed)
 
     sol = solve_lp(_elastic_model(sys, removed), counter=counter,
@@ -99,10 +98,8 @@ def solve_elastic(sys: InfeasibleSystem, removed: set[int] | frozenset[int],
     active[list(removed)] = False
     violations = np.where(active, np.maximum(0.0, 1.0 - sys.rows @ x), 0.0)
     ninf = int(np.count_nonzero(violations > VIOL_TOL))
-    sinf = -float(sol.objective_value) if ninf else 0.0
     sensitivities = np.where(active, sol.primal, 0.0)
-    return ElasticSolution(sinf, ninf, violations, sensitivities, x, removed,
-                           sol)
+    return ElasticSolution(ninf, violations, sensitivities, x, removed, sol)
 
 
 def greedy_row(sol: ElasticSolution, rows) -> int:

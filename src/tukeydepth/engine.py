@@ -23,8 +23,8 @@ from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
 from .elastic import (ElasticSolution, chinneck_cover, greedy_row,
                       solve_elastic)
 from .model import InfeasibleSystem, ParamBounds
-from .simplex import (COLD, DERIVED, INF, REFACTORIZED, LpCounter, LpModel,
-                      LpSolution, LpStatus, Sense, solve_lp)
+from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
+                      solve_lp)
 
 __all__ = [
     "MipForm",
@@ -210,7 +210,6 @@ class NodeOutcome:
     cover: frozenset | None = None
     branch_var: int | None = None
     iterations: int = 0
-    new_cut_count: int = 0
     rounding: tuple[frozenset, int, np.ndarray] | None = None
     budget_hit: bool = False
     # Reduced-cost fixings valid throughout this node's subtree.
@@ -219,18 +218,11 @@ class NodeOutcome:
 
 
 @dataclass
-class SolveStats:
-    """Search counters; ``dual_pivots`` totals the simplex pivots of every
-    LP the solve ran, and ``cold_starts``,
-    ``refactorized_starts`` and ``derived_starts`` count its LPs by how
-    they opened (see ``LpSolution.start_kind``)."""
+class SolveStats(LpCounter):
+    """Counters of one solve: the LP counts it inherits, which every LP of
+    the solve records into directly, then the search's own."""
 
     nodes: int = 0
-    lps: int = 0
-    dual_pivots: int = 0
-    cold_starts: int = 0
-    refactorized_starts: int = 0
-    derived_starts: int = 0
     cuts: int = 0
     wall_time: float = 0.0
     heuristic_weight: int | None = None
@@ -256,19 +248,32 @@ class DepthResult:
 
 @dataclass
 class EngineConfig:
-    branch_rule: str = "greedy"            # "greedy" | "strong"
-    node_selection: str = "depth-first"    # "depth-first" | "best-first"
+    """A solve's knobs, each checked here, since most solves end at the
+    heuristic before the search reads them.  ``time_limit`` (seconds) and
+    ``node_limit`` bound the whole solve, heuristic and every bisection
+    probe included; None leaves them unbounded."""
+
+    branch_rule: str = "greedy"
+    node_selection: str = "depth-first"
     epsilon: float = 1e-5
     cert_tol: float = 1e-9
     time_limit: float | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
-        # ParamBounds rejects it as well, but is only built once a tree
-        # runs, and most solves end at the heuristic, many of them at its
-        # row-mean check before any LP.
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if self.branch_rule not in ("greedy", "strong"):
+            raise ValueError(f"unknown branch_rule {self.branch_rule!r}")
+        if self.node_selection not in ("depth-first", "best-first"):
+            raise ValueError(f"unknown node_selection {self.node_selection!r}")
+        if not 0 < self.epsilon < INF:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 <= self.cert_tol < INF:
+            raise ValueError("cert_tol must be nonnegative and finite")
+        # Each comparison is False for NaN, which would never end a search.
+        for name in ("time_limit", "node_limit"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +411,6 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
                 start=None if parent is None else parent.lp)
         return greedy_row(node.elastic, fractional)
 
-    if cfg.branch_rule != "strong":
-        raise ValueError(f"unknown branch rule {cfg.branch_rule!r}")
     order = sorted(fractional, key=lambda j: (-min(s[j], 1.0 - s[j]), j))
     candidates = order[:STRONG_K]
     best_j, best_score = candidates[0], -INF
@@ -444,8 +447,12 @@ def expand(node: Node, branch_var: int) -> tuple[Node, Node]:
 
 
 class _Budget:
+    """One solve's limits, made before its heuristic (the deadline counts
+    from ``start``) and shared by every engine of the solve."""
+
     def __init__(self, cfg: EngineConfig):
-        self.deadline = (time.monotonic() + cfg.time_limit
+        self.start = time.monotonic()
+        self.deadline = (self.start + cfg.time_limit
                          if cfg.time_limit is not None else None)
         self.node_limit = cfg.node_limit
 
@@ -457,10 +464,10 @@ class _Budget:
 
 
 class BranchCutEngine:
-    """Coordinator owning the cut pool handle, the LP counter, the search
-    stats and the budget.  One search loop serves both program forms: it
-    pops one node at a time, evaluates it and applies its outcome before
-    the next pop; ``run_depth`` and ``run_guess`` read its result.
+    """Coordinator owning the cut pool handle, the solve's stats (every LP
+    records into them) and its budget.  One search loop serves both program
+    forms: it pops one node at a time, evaluates it and applies its outcome
+    before the next pop; ``run_depth`` and ``run_guess`` read its result.
     ``root_elastic`` is the elastic solution over all rows when the caller
     already has one (the heuristic's first): the root's greedy branching
     reads it instead of solving that LP again.
@@ -475,16 +482,15 @@ class BranchCutEngine:
     whose root derives from it."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
-                 counter: LpCounter | None = None,
                  stats: SolveStats | None = None,
+                 budget: _Budget | None = None,
                  root_elastic: ElasticSolution | None = None,
                  root_lp: tuple[LpModel, LpSolution] | None = None):
         self.mip = mip
         self.cfg = cfg
         self.pool = pool
-        self.counter = counter if counter is not None else LpCounter()
         self.stats = stats if stats is not None else SolveStats()
-        self.budget = _Budget(cfg)
+        self.budget = budget if budget is not None else _Budget(cfg)
         self.root_elastic = root_elastic
         self.root_lp = root_lp
         self._live = root_lp
@@ -519,7 +525,6 @@ class BranchCutEngine:
         mip = self.mip
         active = tuple(self.pool.snapshot())
         rounding = None
-        new_cut_count = 0
 
         live, self._live = self._live, None
         if live is not None and node.basis_status is live[1].basis_status:
@@ -533,7 +538,7 @@ class BranchCutEngine:
         # Only ``start`` may keep the earlier kernel state alive, and only
         # while the first LP derives from it.
         del live
-        lp = solve_lp(model, counter=self.counter, start=start)
+        lp = solve_lp(model, counter=self.stats, start=start)
         del start
         iteration = 0
         prev_obj = None
@@ -559,12 +564,12 @@ class BranchCutEngine:
                 break
 
             fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
-                                              self.counter)
+                                              self.stats)
                      if self.pool.insert(c)]
             if not fresh:
                 break
             active = active + tuple(fresh)
-            new_cut_count += len(fresh)
+            self.stats.cuts += len(fresh)
             # The optimum already satisfies every new row, so a re-solve
             # would return it unchanged; a later node's LP carries them.
             if not any(c.violated_by(s) for c in fresh):
@@ -574,14 +579,14 @@ class BranchCutEngine:
             prev_obj = obj
             model = mip.relaxation(node.fixed1, node.fixed0, active,
                                    base=model)
-            lp = solve_lp(model, counter=self.counter, start=lp.handover())
+            lp = solve_lp(model, counter=self.stats, start=lp.handover())
 
             if (mip.form is MipForm.DEPTH
                     and node.tree_depth > ROUNDING_DEPTH
                     and iteration > ROUNDING_ITERATION
                     and lp.status is LpStatus.OPTIMAL):
                 cand = rounding_heuristic(lp, node, mip, incumbent_weight,
-                                          self.counter)
+                                          self.stats)
                 if cand is not None and (rounding is None
                                          or cand[1] < rounding[1]):
                     rounding = cand
@@ -591,7 +596,7 @@ class BranchCutEngine:
         objective = (INF if kind is OutcomeKind.INFEASIBLE
                      else lp.objective_value)
         out = NodeOutcome(kind, objective, lp, iterations=iteration,
-                          new_cut_count=new_cut_count, rounding=rounding)
+                          rounding=rounding)
         if kind is OutcomeKind.FATHOMED:
             out.cover = frozenset(int(j) for j in np.where(s > 0.5)[0])
         elif kind is OutcomeKind.FRACTIONAL:
@@ -600,7 +605,7 @@ class BranchCutEngine:
                 out.rc_fix0, out.rc_fix1 = self._reduced_cost_fixings(
                     node, lp, incumbent_weight)
                 out.branch_var = select_branch_variable(
-                    node, mip, lp, self.cfg, active, counter=self.counter)
+                    node, mip, lp, self.cfg, active, counter=self.stats)
         return out
 
     def _reduced_cost_fixings(self, node: Node, lp: LpSolution,
@@ -660,7 +665,7 @@ class BranchCutEngine:
         if log is not None:
             t0 = time.monotonic()
             next_log = t0 + LOG_EVERY
-            nodes0, lps0 = self.stats.nodes, self.counter.count
+            nodes0, lps0 = self.stats.nodes, self.stats.lps
         exact = True
         while len(store):
             if self.budget.time_up() or self.budget.nodes_up(self.stats.nodes):
@@ -678,7 +683,6 @@ class BranchCutEngine:
                     and self.mip.form is MipForm.GUESS):
                 self.root_lp = self._live
             self.stats.nodes += 1
-            self.stats.cuts += out.new_cut_count
             if out.rounding is not None and out.rounding[1] < weight:
                 cover, weight, direction = out.rounding
             if out.kind is OutcomeKind.FATHOMED:
@@ -691,8 +695,7 @@ class BranchCutEngine:
                     x = _verified_direction(sys, out.cover, x,
                                             self.cfg.cert_tol)
                     if x is None:
-                        x = complement_direction(sys, out.cover,
-                                                 self.counter)
+                        x = complement_direction(sys, out.cover, self.stats)
                     if x is not None:
                         cover, direction, weight = out.cover, x, found
                         break
@@ -723,7 +726,7 @@ class BranchCutEngine:
         one."""
 
         elapsed = time.monotonic() - t0
-        rate = (self.counter.count - lps0) / elapsed if elapsed > 0 else 0.0
+        rate = (self.stats.lps - lps0) / elapsed if elapsed > 0 else 0.0
         bounds = store.bounds()
         if self.mip.form is MipForm.DEPTH:
             label = "search"
@@ -777,8 +780,6 @@ class _NodeStore:
     wins among equal bounds."""
 
     def __init__(self, strategy: str):
-        if strategy not in ("depth-first", "best-first"):
-            raise ValueError(f"unknown node selection {strategy!r}")
         self.best_first = strategy == "best-first"
         self._heap: list[tuple[float, int, Node]] = []
         self._seq = 0
@@ -835,27 +836,23 @@ class _NodeStore:
 
 
 def _finalize(sys: InfeasibleSystem, cover, direction, stats: SolveStats,
-              cfg: EngineConfig, exact: bool, lower_bound: int,
-              epsilon: float, counter: LpCounter) -> DepthResult:
+              cfg: EngineConfig, budget: _Budget, exact: bool,
+              lower_bound: int, epsilon: float) -> DepthResult:
     """The result for ``cover``, certified by ``direction`` (the one its
     search found) when every non-cover margin of it clears ``cert_tol``;
     else by the alternative LP over the non-cover rows, and "unverified"
-    when that fails too."""
+    when that fails too.  The wall time runs from ``budget.start``."""
 
     unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
     if unit is None:
-        direction = complement_direction(sys, cover, counter)
+        direction = complement_direction(sys, cover, stats)
         unit = _verified_direction(sys, cover, direction, cfg.cert_tol)
     cert = "verified" if unit is not None else "unverified"
     if unit is not None:
         direction = unit
     elif direction is None:
         direction = np.zeros(sys.dim)
-    stats.lps = counter.count
-    stats.dual_pivots = counter.dual_pivots
-    stats.cold_starts = counter.starts[COLD]
-    stats.refactorized_starts = counter.starts[REFACTORIZED]
-    stats.derived_starts = counter.starts[DERIVED]
+    stats.wall_time = time.monotonic() - budget.start
     weight = sys.weight_of(cover)
     return DepthResult(depth=weight + sys.zero_offset,
                        cover=tuple(sorted(int(j) for j in cover)),
@@ -879,11 +876,10 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
     """
 
     cfg = cfg or EngineConfig()
-    counter = LpCounter()
+    budget = _Budget(cfg)
     stats = SolveStats()
-    t0 = time.monotonic()
 
-    cover, direction, root = chinneck_cover(sys, counter)
+    cover, direction, root = chinneck_cover(sys, stats)
     cover = frozenset(cover)
     weight = sys.weight_of(cover)
     stats.heuristic_weight = weight
@@ -892,10 +888,8 @@ def solve_depth(sys: InfeasibleSystem, cfg: EngineConfig | None = None,
         mip = MipModel(sys, ParamBounds.for_system(sys, cfg.epsilon),
                        MipForm.DEPTH)
         engine = BranchCutEngine(mip, cfg, pool if pool is not None
-                                 else CutPool(), counter, stats, root)
+                                 else CutPool(), stats, budget, root)
         cover, direction, weight, exact, lower = engine.run_depth(
             cover, direction, weight)
-    result = _finalize(sys, cover, direction, stats, cfg, exact, lower,
-                       cfg.epsilon, counter)
-    result.stats.wall_time = time.monotonic() - t0
-    return result
+    return _finalize(sys, cover, direction, stats, cfg, budget, exact, lower,
+                     cfg.epsilon)

@@ -65,7 +65,7 @@ def _col_entries(name: str, entries: list[tuple[str, float]]) -> list[str]:
 _SENSE = {Sense.GE: "G", Sense.LE: "L", Sense.EQ: "E"}
 
 
-def render_mps(mip: MipModel, name: str = "TUKDEPTH") -> str:
+def render_mps(mip: MipModel) -> str:
     """Render the integer program as MPS text."""
 
     lp = mip.relaxation()
@@ -76,7 +76,7 @@ def render_mps(mip: MipModel, name: str = "TUKDEPTH") -> str:
     row_names = ([f"R{j + 1}" for j in range(n)]
                  + ["CARD"] * (len(lp.rhs) - n))
 
-    lines = [_line((0, "NAME"), (_F3, name)), "ROWS",
+    lines = [_line((0, "NAME"), (_F3, "TUKDEPTH")), "ROWS",
              _line((_F1, "N"), (_F2, "COST"))]
     for rn, sense in zip(row_names, lp.senses):
         lines.append(_line((_F1, _SENSE[sense]), (_F2, rn)))

@@ -60,7 +60,7 @@ def _unit_rows(sys: InfeasibleSystem) -> np.ndarray:
     return scaled / np.linalg.norm(scaled, axis=1)[:, None]
 
 
-def oracle_depth_2d(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
+def oracle_depth_2d(sys: InfeasibleSystem) -> int:
     """Exact planar depth by sweeping candidate directions around the circle.
 
     The count of rows with <x, a_j> <= 0 only changes where x crosses a
@@ -83,13 +83,12 @@ def oracle_depth_2d(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
                             np.column_stack([np.cos(mids), np.sin(mids)])])
 
     dots = rows @ candidates.T
-    counted = dots <= gp_tol
+    counted = dots <= GP_TOL
     counts = sys.weights @ counted
     return int(counts.min()) + sys.zero_offset
 
 
-def _subset_normals(rows_t: np.ndarray, combos: np.ndarray,
-                    gp_tol: float) -> np.ndarray:
+def _subset_normals(rows_t: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """Unit normals to the span of each (d-1)-subset of the rows, which
     ``rows_t`` holds as columns.
 
@@ -101,7 +100,7 @@ def _subset_normals(rows_t: np.ndarray, combos: np.ndarray,
     (a1, -a0).  numpy's ``det`` pivots and returns sign * exp(log|det|), so
     it rounds differently (not even a 1x1 determinant is exact there); on
     unit rows the two agree within 1e-12, which only a norm or an inner
-    product within rounding of ``gp_tol`` could tell.
+    product within rounding of ``GP_TOL`` could tell.
     """
 
     d = rows_t.shape[0]
@@ -121,13 +120,13 @@ def _subset_normals(rows_t: np.ndarray, combos: np.ndarray,
         minor = minors[tuple(j for j in range(d) if j != i)]
         normals[:, i] = minor if i % 2 == 0 else -minor
     norms = np.linalg.norm(normals, axis=1)
-    if np.any(norms <= gp_tol):
+    if np.any(norms <= GP_TOL):
         raise GeneralPositionError(
             "a (d-1)-subset of rows is linearly dependent")
     return normals / norms[:, None]
 
 
-def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
+def oracle_depth_general(sys: InfeasibleSystem) -> int:
     """Exact depth for rows in general position, any dimension.
 
     Candidates are the two unit normals of every (d-1)-subset T.  Rows lying
@@ -165,7 +164,7 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
     if m <= d:
         # In general position so few rows are linearly independent, hence a
         # direction strictly positive on all of them exists: depth is zero.
-        if np.linalg.matrix_rank(rows, tol=gp_tol) < m:
+        if np.linalg.matrix_rank(rows, tol=GP_TOL) < m:
             raise GeneralPositionError("rows are linearly dependent")
         return sys.zero_offset
 
@@ -182,12 +181,12 @@ def oracle_depth_general(sys: InfeasibleSystem, gp_tol: float = GP_TOL) -> int:
         combos = np.fromiter(flat, np.intp).reshape(-1, d - 1)
         if not len(combos):
             return best + sys.zero_offset
-        normals = _subset_normals(rows_t, combos, gp_tol)
+        normals = _subset_normals(rows_t, combos)
         dots = normals @ rows_t  # (chunk, m)
 
-        neg = (dots < -gp_tol) @ weigh
-        pos = (dots > gp_tol) @ weigh
-        # Every dot is finite, so the rest are those with |dot| <= gp_tol.
+        neg = (dots < -GP_TOL) @ weigh
+        pos = (dots > GP_TOL) @ weigh
+        # Every dot is finite, so the rest are those with |dot| <= GP_TOL.
         if (m - neg[:, 1] - pos[:, 1]).max() >= d:
             raise GeneralPositionError(
                 "d or more rows lie on a common hyperplane through the origin")

@@ -107,7 +107,6 @@ _ENTRY_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
 COLD = "cold"
 REFACTORIZED = "refactorized"
 DERIVED = "derived"
-START_KINDS = (COLD, REFACTORIZED, DERIVED)
 
 
 class Sense(str, Enum):
@@ -209,19 +208,26 @@ class LpSolution:
         return self
 
 
+@dataclass
 class LpCounter:
-    """Shared counter so callers can report how many LPs a pipeline solved,
-    how each one started and how many pivots they took."""
+    """The LPs a pipeline solved: how many, their dual pivots, and how many
+    opened each way (see ``LpSolution.start_kind``)."""
 
-    def __init__(self):
-        self.count = 0
-        self.dual_pivots = 0
-        self.starts = dict.fromkeys(START_KINDS, 0)
+    lps: int = 0
+    dual_pivots: int = 0
+    cold_starts: int = 0
+    refactorized_starts: int = 0
+    derived_starts: int = 0
 
     def record(self, sol: LpSolution) -> None:
-        self.count += 1
+        self.lps += 1
         self.dual_pivots += sol.dual_pivots
-        self.starts[sol.start_kind] += 1
+        if sol.start_kind == DERIVED:
+            self.derived_starts += 1
+        elif sol.start_kind == REFACTORIZED:
+            self.refactorized_starts += 1
+        else:
+            self.cold_starts += 1
 
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,

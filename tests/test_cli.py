@@ -187,6 +187,11 @@ def test_json_stats_are_the_solve_stats_fields(square_file, tmp_path):
     assert rc == EXIT_OK
     stats = json.loads(out.read_text())["stats"]
     assert list(stats) == [f.name for f in fields(SolveStats)]
+    # Schema 4's eleven keys, the inherited LP counters first.
+    assert list(stats) == [
+        "lps", "dual_pivots", "cold_starts", "refactorized_starts",
+        "derived_starts", "nodes", "cuts", "wall_time", "heuristic_weight",
+        "guesses", "guess_values"]
 
 
 def test_json_counts_lps_by_start(tmp_path, capsys):
@@ -473,6 +478,10 @@ def test_removed_flag_is_usage_error(command, flag, value, square_file,
     ("square_file", ["binsearch", "--epsilon", "-1"], "must be positive"),
     ("triangle_file", ["depth", "--epsilon", "-1"], "must be positive"),
     ("triangle_file", ["binsearch", "--epsilon", "0"], "must be positive"),
+    ("square_file", ["depth", "--time-limit", "nan"], "time_limit"),
+    ("triangle_file", ["binsearch", "--time-limit", "-1"], "time_limit"),
+    ("square_file", ["binsearch", "--node-limit", "-1"], "node_limit"),
+    ("triangle_file", ["depth", "--cert-tol", "nan"], "cert_tol"),
 ])
 def test_bad_engine_value_is_usage_error(instance, argv, message, request,
                                          capsys):

@@ -1,6 +1,7 @@
 import inspect
 import logging
 import re
+import time
 import weakref
 from dataclasses import fields
 from types import SimpleNamespace
@@ -126,7 +127,7 @@ def test_cut_round_resolves_only_for_a_violated_cut(square_sys, members,
     assert cut.violated_by(s) == bool(resolves)
     assert len(lps) == 1 + resolves
     assert out.lp is lps[-1]
-    assert out.new_cut_count == 1 and cut in search.pool
+    assert search.stats.cuts == 1 and cut in search.pool
 
 
 def test_bound_and_cut_square_root_relaxation(square_sys):
@@ -426,7 +427,7 @@ def test_feas_tol_reaches_cut_and_rounding_phase1(feas_tol, monkeypatch):
             # feasibility check.
             everything = frozenset(range(sys_.n_rows))
             out = search.run_depth(everything, None, sys_.n_rows)
-            return out, vars(search.counter)
+            return out, search.stats
 
     sys_, depth, _ = gaussian_system(6400, 16, 3)
     (cover, _, weight, exact, _), counts = run(spied=True)
@@ -510,8 +511,49 @@ def test_node_store_order_and_dominance():
     assert popped("best-first", INF) == [1, 3, 0, 2]
     assert popped("depth-first", 2) == [3, 1]
     assert popped("best-first", 2) == [1, 3]
-    with pytest.raises(ValueError):
-        _NodeStore("breadth-first")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("node_selection", "breadth-first"), ("branch_rule", "bogus"),
+    ("epsilon", 0.0), ("epsilon", float("nan")), ("epsilon", INF),
+    ("cert_tol", -1e-9), ("cert_tol", float("nan")), ("cert_tol", INF),
+    ("time_limit", -1.0), ("time_limit", float("nan")),
+    ("node_limit", -1), ("node_limit", float("nan"))])
+def test_engine_config_rejects_bad_values(field, value):
+    """Every field is checked when the config is made: a NaN limit would
+    never end a search, and most solves end at the heuristic, before the
+    search reads the rule or the node selection."""
+
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**{field: value})
+
+
+def test_engine_config_accepts_edge_values():
+    cfg = EngineConfig(branch_rule="strong", node_selection="best-first",
+                       cert_tol=0.0, time_limit=0.0, node_limit=0)
+    assert (cfg.time_limit, cfg.node_limit, cfg.cert_tol) == (0.0, 0, 0.0)
+
+
+@pytest.mark.parametrize("module, solve", [(engine, solve_depth),
+                                           (binsearch, solve_depth_binary)],
+                         ids=["branch-and-cut", "bisection"])
+def test_deadline_counts_from_solve_start(module, solve, monkeypatch):
+    """The time budget covers the whole solve: a heuristic that outlasts it
+    leaves no time for a single node of the tree or of any probe."""
+
+    heuristic = module.chinneck_cover
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return heuristic(*args, **kwargs)
+
+    monkeypatch.setattr(module, "chinneck_cover", slow)
+    sys_, depth, _ = gaussian_system(6800, 22, 2)
+    res = solve(sys_, EngineConfig(time_limit=0.1))
+    assert res.stats.heuristic_weight > 1
+    assert res.exact is False and res.stats.nodes == 0
+    assert res.depth >= depth >= res.lower_bound
+    assert res.stats.wall_time >= 0.2
 
 
 @pytest.mark.parametrize("select", ["best-first", "depth-first"])
@@ -645,7 +687,7 @@ def _vertex_system(k):
 def _heuristic_lps(sys_):
     counter = LpCounter()
     chinneck_cover(sys_, counter)
-    return counter.count
+    return counter.lps
 
 
 @pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])

@@ -266,8 +266,7 @@ def test_expanded_normals_match_determinants(d):
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     combos = np.array([rng.choice(len(rows), d - 1, replace=False)
                        for _ in range(400)])
-    expanded = oracle._subset_normals(np.ascontiguousarray(rows.T), combos,
-                                      GP_TOL)
+    expanded = oracle._subset_normals(np.ascontiguousarray(rows.T), combos)
     reference = det_normals(rows, combos)
     assert np.abs(expanded - reference).max() <= 1e-12
     assert np.all(np.sum(expanded * reference, axis=1) > 0)
