@@ -5,9 +5,10 @@ keep a strictly positive margin?" and the engine answers by maximizing that
 margin under the cardinality cap, stopping at the first positive witness.
 No a-priori epsilon is needed, and the certified margin of the final answer
 is itself a usable epsilon for the fixed-epsilon program.  Cuts found while
-answering one probe are pooled and seed all later probes, and each probe's
-root LP derives from the previous probe's: its rows only gain the new pool
-cuts and the cardinality row's right-hand side.
+answering one probe are pooled and seed all later probes.  Each probe's root
+starts with the rows the previous probe's root passed on to its children and
+derives its LP from that root's LP, with another cardinality right-hand
+side; it then pulls the pool cuts its optimum violates.
 """
 
 from __future__ import annotations

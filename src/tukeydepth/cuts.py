@@ -32,6 +32,9 @@ __all__ = [
 
 # A cut counts as violated when its members' values sum below 1 - CUT_TOL.
 CUT_TOL = 1e-9
+# One separation round returns at most this many cuts (the engine's other
+# cut-loop constants are ``engine.MAX_CUT_ROUNDS`` and ``CUT_IMPROVE``).
+CUTS_PER_ROUND = 3
 
 
 @dataclass(frozen=True)
@@ -46,32 +49,63 @@ class Cut:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
     def violated_by(self, s_values: np.ndarray) -> bool:
-        return float(sum(s_values[j] for j in self.members)) < 1.0 - CUT_TOL
+        return float(s_values[list(self.members)].sum()) < 1.0 - CUT_TOL
 
 
 class CutPool:
-    """Deduplicated, insertion-ordered cut store."""
+    """Deduplicated, insertion-ordered cut store.  It keeps the cuts as the
+    rows of a 0/1 matrix over the system's rows, so that one product finds
+    every cut a point violates."""
 
     def __init__(self):
         self._cuts: list[Cut] = []
-        self._seen: set[tuple[int, ...]] = set()
+        self._index: dict[tuple[int, ...], int] = {}
+        # A 0/1 row per cut over the system's rows, built on the first query;
+        # the rows past ``_filled`` are spare capacity.
+        self._matrix = np.zeros((0, 0))
+        self._filled = 0
 
     def insert(self, cut: Cut) -> bool:
         """Add a cut; returns False if an identical member set is present."""
-        if cut.members in self._seen:
+        if cut.members in self._index:
             return False
-        self._seen.add(cut.members)
+        self._index[cut.members] = len(self._cuts)
         self._cuts.append(cut)
         return True
 
-    def snapshot(self) -> list[Cut]:
-        return list(self._cuts)
+    def violated(self, values: np.ndarray, skip=()) -> list[Cut]:
+        """The cuts, in pool order, whose members' ``values`` (one per
+        system row) sum below 1 - CUT_TOL, except those in ``skip``."""
+
+        k = len(self._cuts)
+        if not k:
+            return []
+        short = self._rows(len(values)) @ values < 1.0 - CUT_TOL
+        if skip:
+            short[[self._index[c.members] for c in skip]] = False
+        return [self._cuts[i] for i in np.flatnonzero(short).tolist()]
+
+    def _rows(self, width: int) -> np.ndarray:
+        """The matrix over the pool's cuts and the system's ``width`` rows,
+        with rows added for the cuts inserted since the last call (capacity
+        doubles as it fills)."""
+
+        k = len(self._cuts)
+        if self._matrix.shape[0] < k:
+            grown = np.zeros((max(2 * k, 16), width))
+            if self._filled:
+                grown[:self._filled] = self._matrix[:self._filled]
+            self._matrix = grown
+        for i in range(self._filled, k):
+            self._matrix[i, list(self._cuts[i].members)] = 1.0
+        self._filled = k
+        return self._matrix[:k]
 
     def __len__(self) -> int:
         return len(self._cuts)
 
     def __contains__(self, cut: Cut) -> bool:
-        return cut.members in self._seen
+        return cut.members in self._index
 
 
 def _alternative_lp(sys: InfeasibleSystem, active: list[int],
@@ -97,6 +131,19 @@ def _alternative_lp(sys: InfeasibleSystem, active: list[int],
                    np.full(k, INF))
 
 
+def _vertex_cut(sol, active: list[int]) -> Cut | None:
+    """The IIS at the alternative LP's optimal vertex: every row with a
+    basic y_j > 0, at most d + 1 of them.  None when the LP is infeasible.
+    No threshold above zero: dropping a true member could leave a
+    satisfiable set and an invalid cut."""
+
+    if sol.status is LpStatus.INFEASIBLE:
+        return None
+    if sol.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"alternative LP ended {sol.status}")
+    return Cut(tuple(active[i] for i in np.flatnonzero(sol.primal > 0.0)))
+
+
 def bis_cut(sys: InfeasibleSystem, active, counter: LpCounter | None = None,
             values=None) -> Cut | None:
     """The IIS at the optimal vertex of the alternative LP over ``active``,
@@ -105,32 +152,51 @@ def bis_cut(sys: InfeasibleSystem, active, counter: LpCounter | None = None,
 
     With ``values`` the relaxation's binary values, the vertex minimizes
     sum_j values_j y_j and so favours IISs of rows the relaxation keeps,
-    whose cuts it violates (Pfetsch, SIAM J. Optim. 2008).  The members
-    are every row with a basic y_j > 0, at most d + 1 of them.  No threshold
-    above zero: dropping a true member could leave a satisfiable set and an
-    invalid cut.
+    whose cuts it violates (Pfetsch, SIAM J. Optim. 2008).
     """
 
     active = sorted(active)
     if not active:
         raise ValueError("active set must be nonempty")
     sol = solve_lp(_alternative_lp(sys, active, values), counter=counter)
-    if sol.status is LpStatus.INFEASIBLE:
-        return None
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"alternative LP ended {sol.status}")
-    return Cut(tuple(active[i] for i in np.flatnonzero(sol.primal > 0.0)))
+    return _vertex_cut(sol, active)
 
 
 def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
                   counter: LpCounter | None = None) -> list[Cut]:
-    """At most one hitting-set cut for the current relaxation values: the
-    IIS among the rows not fixed to 1 whose alternative-LP vertex minimizes
-    the values' weighted sum.  Empty when those rows are jointly
+    """Up to ``CUTS_PER_ROUND`` hitting-set cuts for the current relaxation
+    values, over the rows not fixed to 1 (Pfetsch, SIAM J. Optim. 2008).
+
+    The first is ``bis_cut(..., values=lp_binaries)``, returned whether the
+    values violate it or not; the batch goes on only when they do.  Each
+    further one bounds to 0 the y column of the previous cut's member with
+    the largest value (ties to the lowest row), which rules that IIS out,
+    and re-solves derived from the previous cut LP: a bound change keeps
+    its basis dual feasible.  The batch ends when the LP turns infeasible,
+    at the first IIS the values do not violate (left out), or at
+    ``CUTS_PER_ROUND`` cuts.  Empty when the active rows are jointly
     satisfiable."""
 
     active = [j for j in range(sys.n_rows) if j not in fixed1]
     if not active:
         return []
-    cut = bis_cut(sys, active, counter, values=lp_binaries)
-    return [cut] if cut is not None else []
+    model = _alternative_lp(sys, active, lp_binaries)
+    sol = solve_lp(model, counter=counter)
+    cut = _vertex_cut(sol, active)
+    cuts = []
+    while cut is not None:
+        violated = cut.violated_by(lp_binaries)
+        if cuts and not violated:
+            break
+        cuts.append(cut)
+        if not violated or len(cuts) == CUTS_PER_ROUND:
+            break
+        # max() keeps the first, that is the lowest, of tied members.
+        top = max(cut.members, key=lambda j: lp_binaries[j])
+        upper = model.upper.copy()
+        upper[active.index(top)] = 0.0
+        model = LpModel(model.objective, model.row_coeffs, model.senses,
+                        model.rhs, model.lower, upper)
+        sol = solve_lp(model, counter=counter, start=sol.handover())
+        cut = _vertex_cut(sol, active)
+    return cuts

@@ -6,7 +6,8 @@ cap and is the building block of the bisection solver.  One search loop serves
 both forms.  An initial incumbent comes from the greedy elastic heuristic,
 nodes fix binaries to 0/1, every node runs an LP-plus-cuts loop, and
 hitting-set cuts live in a pool shared by all nodes (and, for bisection,
-across runs).
+across runs).  Each node LP holds only the pool cuts its node carries and
+pulls in the others its optimum violates.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
 from .elastic import (ElasticSolution, chinneck_cover, greedy_row,
                       solve_elastic)
 from .model import InfeasibleSystem, ParamBounds
-from .simplex import (INF, LpCounter, LpModel, LpSolution, LpStatus, Sense,
-                      solve_lp)
+from .simplex import (_BASIC, INF, LpCounter, LpModel, LpSolution, LpStatus,
+                      Sense, solve_lp)
 
 __all__ = [
     "MipForm",
@@ -55,7 +57,8 @@ LOG_EVERY = 1.0
 # binaries.
 STRONG_K = 4
 # A node's cut loop stops after MAX_CUT_ROUNDS rounds, or once a round raises
-# the LP bound by less than CUT_IMPROVE.
+# the LP bound by less than CUT_IMPROVE.  Each round separates up to
+# cuts.CUTS_PER_ROUND cuts.
 MAX_CUT_ROUNDS = 20
 CUT_IMPROVE = 1e-3
 # The depth form tries the rounding heuristic on a node deeper than
@@ -109,53 +112,47 @@ class MipModel:
     def n_columns(self) -> int:
         return self.dim + self.n_binaries + (1 if self.has_eps_var else 0)
 
-    def relaxation(self, fixed1=frozenset(), fixed0=frozenset(),
-                   cuts: tuple[Cut, ...] = (),
-                   base: LpModel | None = None) -> LpModel:
-        """LP relaxation with binaries in [0,1] and the given fixings/cuts.
-
-        ``base`` is an earlier relaxation of a model over the same system,
-        form and bounds (the guess may differ) whose cuts are a prefix of
-        ``cuts``: the result then shares its rows and appends only the cut
-        rows it lacks."""
+    @cached_property
+    def _head(self) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+        """Objective, rows, senses and right-hand side of the relaxation
+        without cuts, made once per model."""
 
         d, n = self.dim, self.n_binaries
-        ncol = self.n_columns
         M = self.bounds.bigM
         guess_form = self.form is MipForm.GUESS
-
-        if base is None:
-            w = self.sys.weights.astype(float)
-            objective = np.zeros(ncol)
-            rows = np.zeros((n + guess_form, ncol))
-            rows[:n, :d] = self.sys.rows
-            rows[np.arange(n), d + np.arange(n)] = M
-            senses = [Sense.GE] * n
-            if guess_form:
-                objective[-1] = -1.0
-                rows[:n, -1] = -1.0
-                rows[n, d:d + n] = w
-                senses.append(Sense.LE)
-                rhs = np.zeros(n + 1)
-                rhs[n] = self.guess
-            else:
-                objective[d:d + n] = w
-                rhs = np.full(n, self.bounds.epsilon)
+        objective = np.zeros(self.n_columns)
+        rows = np.zeros((n + guess_form, self.n_columns))
+        rows[:n, :d] = self.sys.rows
+        rows[np.arange(n), d + np.arange(n)] = M
+        senses = [Sense.GE] * n
+        if guess_form:
+            objective[-1] = -1.0
+            rows[:n, -1] = -1.0
+            rows[n, d:d + n] = self.sys.weights
+            senses.append(Sense.LE)
+            rhs = np.zeros(n + 1)
+            rhs[n] = self.guess
         else:
-            objective, rows = base.objective, base.row_coeffs
-            senses, rhs = base.senses, base.rhs
-            if guess_form and rhs[n] != self.guess:
-                rhs = rhs.copy()
-                rhs[n] = self.guess
+            objective[d:d + n] = self.sys.weights
+            rhs = np.full(n, self.bounds.epsilon)
+        return objective, rows, senses, rhs
 
-        new = cuts[rows.shape[0] - n - guess_form:]
-        if new:
-            crows = np.zeros((len(new), ncol))
-            crows[[k for k, cut in enumerate(new) for _ in cut.members],
-                  [d + j for cut in new for j in cut.members]] = 1.0
-            rows = np.vstack([rows, crows])
-            senses = senses + [Sense.GE] * len(new)
-            rhs = np.concatenate([rhs, np.ones(len(new))])
+    def relaxation(self, fixed1=frozenset(), fixed0=frozenset(),
+                   cuts: tuple[Cut, ...] = ()) -> LpModel:
+        """LP relaxation with binaries in [0,1], the given fixings, and one
+        row per cut after the structural rows, in the order given."""
+
+        d = self.dim
+        ncol = self.n_columns
+        objective, head, senses, rhs = self._head
+        rows = np.zeros((head.shape[0] + len(cuts), ncol))
+        rows[:head.shape[0]] = head
+        if cuts:
+            rows[[head.shape[0] + k for k, cut in enumerate(cuts)
+                  for _ in cut.members],
+                 [d + j for cut in cuts for j in cut.members]] = 1.0
+            senses = senses + [Sense.GE] * len(cuts)
+        rhs = np.concatenate([rhs, np.ones(len(cuts))])
 
         lower = np.zeros(ncol)
         upper = np.ones(ncol)
@@ -166,7 +163,7 @@ class MipModel:
             upper[d + j] = 0.0
         if self.has_eps_var:
             lower[-1] = 0.0
-            upper[-1] = M
+            upper[-1] = self.bounds.bigM
 
         return LpModel(objective, rows, senses, rhs, lower, upper)
 
@@ -175,10 +172,15 @@ class MipModel:
 class Node:
     """One subproblem: binaries pinned to 1 (removed rows) or 0 (kept rows).
 
-    ``basis_status`` is the parent's final LP basis (None at the root).  A
-    node popped while its parent's final LP is the engine's live one (the
-    depth-first dive) derives its first LP from that LP's kernel state
-    instead; any other starts from these statuses.  Open nodes keep
+    ``rows`` are the pool cuts its LP holds, in row order after the
+    structural rows: none at the first root, its parent's final ones less
+    those whose slack was basic there, and at the root of a later bisection
+    probe the ones the previous probe's root passed on.  ``basis_status``
+    is the parent's final LP basis less those rows' slacks (None at the
+    first root), a basis of this node's first LP.  A node popped while its
+    parent's final LP is the engine's live one (the depth-first dive)
+    derives its first LP from that LP's kernel state instead, dropping the
+    same rows; any other starts from these statuses.  Open nodes keep
     nothing else of an LP.  ``elastic`` is the latest greedy-branching
     elastic solution on the path to this node: its own once branching ran
     here, else its parent's (at the root, the heuristic's first, over all
@@ -193,6 +195,7 @@ class Node:
     tree_depth: int = 0
     basis_status: np.ndarray | None = None
     elastic: ElasticSolution | None = None
+    rows: tuple[Cut, ...] = ()
 
 
 class OutcomeKind(Enum):
@@ -215,6 +218,9 @@ class NodeOutcome:
     # Reduced-cost fixings valid throughout this node's subtree.
     rc_fix0: frozenset = frozenset()
     rc_fix1: frozenset = frozenset()
+    # What both children of a fractional node start from (see ``Node``).
+    child_rows: tuple[Cut, ...] = ()
+    child_status: np.ndarray | None = None
 
 
 @dataclass
@@ -463,6 +469,19 @@ class _Budget:
         return self.node_limit is not None and processed >= self.node_limit
 
 
+@dataclass
+class _LiveLp:
+    """A node's final LP, with its kernel state, and what the nodes that
+    derive from it start with: the cut rows ``rows`` and the statuses
+    ``status``, which are the LP's less its rows ``drop`` (the cut rows
+    whose slack is basic, when the node branched)."""
+
+    lp: LpSolution
+    rows: tuple[Cut, ...]
+    drop: np.ndarray | tuple
+    status: np.ndarray
+
+
 class BranchCutEngine:
     """Coordinator owning the cut pool handle, the solve's stats (every LP
     records into them) and its budget.  One search loop serves both program
@@ -472,20 +491,21 @@ class BranchCutEngine:
     already has one (the heuristic's first): the root's greedy branching
     reads it instead of solving that LP again.
 
-    The engine keeps one node LP alive, with its kernel state: the last
-    node's final LP when it is feasible (``_live``, an (LpModel,
-    LpSolution) pair), from which the next node derives when it is that
-    node's child.  The next node releases it once its own first LP is
-    solved.  The guess form
-    keeps one more, ``root_lp``, the root's final LP once the search has
-    evaluated the root: bisection passes it to the next probe's engine,
-    whose root derives from it."""
+    Every node LP carries only the pool cuts in its node's ``rows``, and
+    pulls the others from the pool when its optimum violates them.  The
+    engine keeps one node LP alive, with its kernel state: the last node's
+    final LP when it is feasible (``_live``, a ``_LiveLp``), from which the
+    next node derives when it is that node's child.  The next node releases
+    it once its own first LP is solved.  The guess form keeps one more,
+    ``root_lp``, the root's once the search has evaluated the root:
+    bisection passes it to the next probe's engine, whose root starts with
+    its rows and derives from it."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
                  stats: SolveStats | None = None,
                  budget: _Budget | None = None,
                  root_elastic: ElasticSolution | None = None,
-                 root_lp: tuple[LpModel, LpSolution] | None = None):
+                 root_lp: _LiveLp | None = None):
         self.mip = mip
         self.cfg = cfg
         self.pool = pool
@@ -507,38 +527,49 @@ class BranchCutEngine:
         return -bound <= EPS_POS
 
     def bound_and_cut(self, node: Node, incumbent_weight: float) -> NodeOutcome:
-        """LP-and-cut loop for one node.
+        """LP-and-cut loop for one node, whose LP holds the cuts
+        ``node.rows``.
 
-        Cuts keep coming for at most ``MAX_CUT_ROUNDS`` rounds while the
-        objective improves by at least ``CUT_IMPROVE``, the solution stays
-        fractional, and the generator still produces a cut the pool lacks;
-        infeasibility and bound dominance end the node immediately.  The first
-        LP derives from the engine's live LP when the node's start statuses are
-        that LP's (the node is its child, or the root of a later bisection
-        probe) and starts from the statuses otherwise; each cut round derives
-        from the previous round's.  The pool only appends, so the earlier LPs'
-        rows are a prefix of the new ones.  Both hand the earlier kernel state
-        over rather than copy it, unless it is the guess form's root LP.  The
-        node's final LP becomes the live one when it is feasible.
+        Each pass first appends every pool cut the optimum violates and
+        re-solves, so a node ends fractional only at an optimum that
+        satisfies the whole pool, whose bound is then the whole pool's.
+        (An LP over fewer rows bounds below, so infeasibility, a prune or
+        a fathom before that stands.)  Then comes a cut round: up to
+        ``cuts.CUTS_PER_ROUND`` new cuts, which all enter the pool and, when
+        the optimum violates them, the node's rows.  Rounds go on for at
+        most ``MAX_CUT_ROUNDS`` while the objective improves by at least
+        ``CUT_IMPROVE``, the solution stays fractional, and a round finds a
+        violated cut the pool lacks; infeasibility and bound dominance end
+        the node immediately.
+
+        The first LP derives from the engine's live LP when the node's
+        start statuses are the ones that LP passes on (the node is its
+        child, or the root of a later bisection probe), dropping the rows
+        it drops, and starts from the statuses otherwise; each pull and cut
+        round derives from the previous LP, whose rows it extends.  Both
+        hand the earlier kernel state over rather than copy it, unless it is
+        the guess form's root LP.  The node's final LP becomes the live one
+        when it is feasible.  A fractional node passes its final rows on to
+        its children less the cut rows whose slack is basic in its final
+        basis, with its final statuses less those slacks.
         """
 
-        mip = self.mip
-        active = tuple(self.pool.snapshot())
+        mip, pool = self.mip, self.pool
+        rows = node.rows
         rounding = None
 
+        model = mip.relaxation(node.fixed1, node.fixed0, rows)
         live, self._live = self._live, None
-        if live is not None and node.basis_status is live[1].basis_status:
-            model = mip.relaxation(node.fixed1, node.fixed0, active,
-                                   base=live[0])
+        if live is not None and node.basis_status is live.status:
             # Only the guess form's root LP is derived from again.
-            start = live[1] if live is self.root_lp else live[1].handover()
+            start = live.lp if live is self.root_lp else live.lp.handover()
+            drop = live.drop
         else:
-            model = mip.relaxation(node.fixed1, node.fixed0, active)
-            start = node.basis_status
+            start, drop = node.basis_status, ()
         # Only ``start`` may keep the earlier kernel state alive, and only
         # while the first LP derives from it.
         del live
-        lp = solve_lp(model, counter=self.stats, start=start)
+        lp = solve_lp(model, counter=self.stats, start=start, drop=drop)
         del start
         iteration = 0
         prev_obj = None
@@ -557,31 +588,33 @@ class BranchCutEngine:
             if _is_integral(s):
                 kind = OutcomeKind.FATHOMED
                 break
-
-            if iteration >= MAX_CUT_ROUNDS or self.budget.time_up():
-                break
-            if prev_obj is not None and obj - prev_obj < CUT_IMPROVE:
+            if self.budget.time_up():
                 break
 
-            fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
-                                              self.stats)
-                     if self.pool.insert(c)]
-            if not fresh:
-                break
-            active = active + tuple(fresh)
-            self.stats.cuts += len(fresh)
-            # The optimum already satisfies every new row, so a re-solve
-            # would return it unchanged; a later node's LP carries them.
-            if not any(c.violated_by(s) for c in fresh):
-                break
+            new_rows = pool.violated(s, rows)
+            separated = not new_rows
+            if separated:
+                if iteration >= MAX_CUT_ROUNDS:
+                    break
+                if prev_obj is not None and obj - prev_obj < CUT_IMPROVE:
+                    break
+                fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
+                                                  self.stats)
+                         if pool.insert(c)]
+                self.stats.cuts += len(fresh)
+                # A row the optimum satisfies would not move it; the pool
+                # keeps such a cut for the nodes it does cut off.
+                new_rows = [c for c in fresh if c.violated_by(s)]
+                if not new_rows:
+                    break
+                iteration += 1
+                prev_obj = obj
 
-            iteration += 1
-            prev_obj = obj
-            model = mip.relaxation(node.fixed1, node.fixed0, active,
-                                   base=model)
+            rows += tuple(new_rows)
+            model = mip.relaxation(node.fixed1, node.fixed0, rows)
             lp = solve_lp(model, counter=self.stats, start=lp.handover())
 
-            if (mip.form is MipForm.DEPTH
+            if (separated and mip.form is MipForm.DEPTH
                     and node.tree_depth > ROUNDING_DEPTH
                     and iteration > ROUNDING_ITERATION
                     and lp.status is LpStatus.OPTIMAL):
@@ -591,12 +624,11 @@ class BranchCutEngine:
                                          or cand[1] < rounding[1]):
                     rounding = cand
 
-        if lp.kernel is not None:
-            self._live = (model, lp)
         objective = (INF if kind is OutcomeKind.INFEASIBLE
                      else lp.objective_value)
         out = NodeOutcome(kind, objective, lp, iterations=iteration,
                           rounding=rounding)
+        passed_on, drop, status = rows, (), lp.basis_status
         if kind is OutcomeKind.FATHOMED:
             out.cover = frozenset(int(j) for j in np.where(s > 0.5)[0])
         elif kind is OutcomeKind.FRACTIONAL:
@@ -605,7 +637,20 @@ class BranchCutEngine:
                 out.rc_fix0, out.rc_fix1 = self._reduced_cost_fixings(
                     node, lp, incumbent_weight)
                 out.branch_var = select_branch_variable(
-                    node, mip, lp, self.cfg, active, counter=self.stats)
+                    node, mip, lp, self.cfg, rows, counter=self.stats)
+                # A row whose slack is basic has dual 0 here; without it
+                # the basis stays optimal and every other dual stays.
+                head = model.n_rows - len(rows)
+                first = model.columns + head
+                basic = lp.basis_status[first:] == _BASIC
+                if basic.any():
+                    passed_on = tuple(c for c, b in zip(rows, basic.tolist())
+                                      if not b)
+                    drop = head + np.flatnonzero(basic)
+                    status = np.delete(lp.basis_status, model.columns + drop)
+                out.child_rows, out.child_status = passed_on, status
+        if lp.kernel is not None:
+            self._live = _LiveLp(lp, passed_on, drop, status)
         return out
 
     def _reduced_cost_fixings(self, node: Node, lp: LpSolution,
@@ -658,9 +703,10 @@ class BranchCutEngine:
 
         sys, d = self.mip.sys, self.mip.dim
         store = _NodeStore(self.cfg.node_selection)
-        store.push(Node(basis_status=(None if self.root_lp is None
-                                      else self.root_lp[1].basis_status),
-                        elastic=self.root_elastic))
+        root = self.root_lp
+        store.push(Node(basis_status=None if root is None else root.status,
+                        elastic=self.root_elastic,
+                        rows=() if root is None else root.rows))
         log = _info_log(__name__)
         if log is not None:
             t0 = time.monotonic()
@@ -792,18 +838,20 @@ class _NodeStore:
     def push_children(self, node: Node, out: NodeOutcome) -> None:
         """Apply the node's reduced-cost fixings and push both children, the
         removed-row child last so that depth-first search dives on it.  Both
-        carry the node's final basis statuses, and the child popped next
-        derives from the node's final LP instead: fixings change bounds
-        only, so either start stays dual feasible.  Both inherit the node's
-        elastic solution, whose removed rows their ``fixed1`` only
-        extends."""
+        carry the rows and statuses the outcome passes on, and the child
+        popped next derives from the node's final LP instead.  Dropping
+        rows whose slacks are basic keeps the basis nonsingular and every
+        dual, and fixings change bounds only, so either start stays dual
+        feasible.  Both inherit the node's elastic solution, whose removed
+        rows their ``fixed1`` only extends."""
 
         base = Node(node.fixed1 | out.rc_fix1, node.fixed0 | out.rc_fix0,
                     node.lower_bound, node.tree_depth)
         child1, child0 = expand(base, out.branch_var)
         for child in (child1, child0):
             child.lower_bound = out.objective
-            child.basis_status = out.lp.basis_status
+            child.basis_status = out.child_status
+            child.rows = out.child_rows
             child.elastic = node.elastic
         self.push(child0)
         self.push(child1)

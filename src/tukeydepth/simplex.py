@@ -2,31 +2,38 @@
 
 A solve opens in one of three ways.  Given the whole optimal solution of an
 earlier solve (``start=earlier``), over the same structural columns and
-cost, whose rows are a prefix of this model's rows, it derives: it reuses
-that solve's live kernel state, the stacked matrix with the new rows
-appended, the basis inverse bordered for them, the basic values moved by the
-changed bounds and right-hand sides, and the refactor counter, and inverts
-nothing.  It copies that state, unless the earlier solution was handed over
-(``LpSolution.handover``), in which case it takes it.  Given an earlier
-basis status vector, or a solution it cannot derive from, it rebuilds the
-stacked matrix and refactorizes that basis.  Either start must pass two
-checks, a finite bound under every column nonbasic at a bound and reduced
-costs of the true cost that are dual feasible (a derived start re-checks
-only the columns whose bounds changed, since every other one keeps what the
-earlier optimum established), and the status path also needs exactly one
-basic column per row and a nonsingular basis matrix; otherwise the solve
-starts cold, from the all-slack basis.  Appended rows open with their slacks
-basic, which leaves the reduced costs unchanged.  One pivot loop, a bounded
-dual simplex, drives the start to primal feasibility or proves
-infeasibility with a Farkas ray; the final basis is then priced once.
+cost, whose rows, less some rows whose slacks are basic (``drop``), are a
+prefix of this model's rows, it derives: it reuses that solve's live kernel
+state, the stacked matrix without the dropped rows and with the new rows
+appended, the basis inverse cut down and bordered for them, the basic values
+moved by the changed bounds and right-hand sides, and the refactor counter,
+and inverts nothing.  Dropping row i, whose slack is basic at position p,
+takes row p and column i out of the inverse; the row's dual was 0 and every
+other dual stays.  It copies that state, unless the earlier solution was
+handed over (``LpSolution.handover``), in which case it takes it.  Given an
+earlier basis status vector, or a solution it cannot derive from, it
+rebuilds the stacked matrix and refactorizes that basis, less the dropped
+rows' slacks.  Either start must pass two checks, a finite bound under every
+column nonbasic at a bound and reduced costs of the true cost that are dual
+feasible (a derived start re-checks only the columns whose bounds changed,
+since every other one keeps what the earlier optimum established), and the
+status path also needs exactly one basic column per row and a nonsingular
+basis matrix; a derived start also needs every dropped row's slack basic.
+Otherwise the solve starts cold, from the all-slack basis.  Appended rows
+open with their slacks basic, which leaves the reduced costs unchanged.  One
+pivot loop, a bounded dual simplex, drives the start to primal feasibility
+or proves infeasibility with a Farkas ray; the final basis is then priced
+once.
 
 Every LP this package builds is dual feasible at the slack basis, and the
 search engine only passes starts that stay dual feasible: the parent node's
-final LP (a branching or reduced-cost fixing changes bounds only), the
-previous cut round's (cuts are appended rows), the node LP for
-strong-branching children, the previous bisection probe's root LP (its cut
-pool only grows and only the cardinality row's right-hand side changes),
-and an elastic LP for one that removes more rows (a bound change too).  A
+final LP less its cut rows with basic slacks (a branching or reduced-cost
+fixing changes bounds only), the previous cut round's or pool pull's (cuts
+are appended rows), the node LP for strong-branching children, the previous
+bisection probe's root LP (only the cardinality row's right-hand side
+changes), the previous cut LP of a separation round (one more column
+bounded to 0), and an elastic LP for one that removes more rows (a bound
+change too).  A
 cold LP whose cost asks some column for a bound it lacks first runs a dual
 phase 1 through the same loop (Koberstein, PhD thesis, Paderborn 2005,
 4.4): the bounded ray LP, min c.r with right-hand side 0 and each column's
@@ -232,23 +239,25 @@ class LpCounter:
 
 def solve_lp(model: LpModel, feas_tol: float = 1e-9,
              counter: LpCounter | None = None,
-             start: LpSolution | np.ndarray | None = None) -> LpSolution:
+             start: LpSolution | np.ndarray | None = None,
+             drop=()) -> LpSolution:
     """Solve the LP; status is always one of optimal/infeasible/unbounded.
 
     ``start`` is an earlier solve over the same structural columns whose
-    rows are a prefix of this model's rows: either its ``basis_status`` or
-    the whole ``LpSolution``.  A whole optimal solution whose cost and rows
-    match is derived from (see the module docstring); otherwise its
-    statuses are the start.  A start that fails the checks of the module
-    docstring is ignored, so the output is then exactly that of a solve
-    without it.
+    rows, less the rows ``drop`` (indices into them), are a prefix of this
+    model's rows: either its ``basis_status`` or the whole ``LpSolution``.
+    A whole optimal solution whose cost and rows match is derived from (see
+    the module docstring); otherwise its statuses, without the dropped
+    rows' slacks, are the start.  A start that fails the checks of the
+    module docstring is ignored, so the output is then exactly that of a
+    solve without it.
 
     On infeasibility the objective value is +inf and the returned duals are
     a Farkas ray, the blocked row of the basis inverse; for pure >=-row
     systems with free variables it satisfies y >= 0, y.A = 0, y.b > 0.
     """
 
-    sol = _Simplex(model, feas_tol, start).solve()
+    sol = _Simplex(model, feas_tol, start, drop).solve()
     if counter is not None:
         counter.record(sol)
     return sol
@@ -283,16 +292,22 @@ class _Simplex:
     """
 
     def __init__(self, model: LpModel, feas_tol: float,
-                 start: LpSolution | np.ndarray | None = None):
+                 start: LpSolution | np.ndarray | None = None, drop=()):
         self.feas_tol = feas_tol
         self.flips = 0
         self.handed_over = False
         self.needs_phase_one = False
         if isinstance(start, LpSolution):
-            if self._derive(start, model):
+            if self._derive(start, model, drop):
                 self.start_kind = DERIVED
                 return
             start = start.basis_status
+        if start is not None and len(drop):
+            # Statuses past the end of a short start are basic already.
+            start = np.asarray(start)
+            at = model.columns + np.asarray(drop, dtype=np.intp)
+            start = np.delete(start, at[(at >= model.columns)
+                                        & (at < start.size)])
         self._stack(model)
         if start is not None and self._warm_start(np.asarray(start)):
             self.start_kind = REFACTORIZED
@@ -387,11 +402,15 @@ class _Simplex:
         self.rc = self.cost - self._duals(self.cost) @ self.A
         return not self._dual_infeasible(self.rc).any()
 
-    def _derive(self, earlier: LpSolution, model: LpModel) -> bool:
+    def _derive(self, earlier: LpSolution, model: LpModel, drop) -> bool:
         """Open at the final state of the kernel that solved ``earlier``,
         for a model with the same structural columns and cost whose first
-        rows are ``earlier``'s rows; only structural bounds, right-hand
-        sides and appended rows may differ.  Nothing is re-inverted: the
+        rows are ``earlier``'s rows less the rows ``drop``; only structural
+        bounds, right-hand sides and appended rows may differ.  Nothing is
+        re-inverted.  A dropped row's slack must be basic, at some position
+        p: the inverse then loses row p and column i (the basis loses row
+        i and its column e_i, which borders the rest), the row's dual was
+        0, and every other dual, reduced cost and basic value stays.  The
         appended rows open with their slacks basic, which borders the
         inverse as [[B^-1, 0], [-A_new[:, basis] B^-1, I]] (Maros 2003), and
         the basic values move by B^-1 times the change of b - N x_N.  The
@@ -402,21 +421,31 @@ class _Simplex:
         Only the columns whose bounds changed face the start checks again:
         every other column keeps its bounds, status and reduced cost, which
         the earlier optimum left dual feasible.  Returns False, setting
-        nothing, when there is no kernel, the models do not match, or a
-        changed column is nonbasic at an infinite bound or has a reduced
-        cost of the wrong sign."""
+        nothing, when there is no kernel, the models do not match, a
+        dropped row's slack is nonbasic, or a changed column is nonbasic at
+        an infinite bound or has a reduced cost of the wrong sign."""
 
         k = earlier.kernel
         if k is None:
             return False
         n, m0, m = k.n_struct, k.m, model.n_rows
-        if (model.columns != n or m < m0 or model.senses[:m0] != k.senses
+        keep = None
+        senses = k.senses
+        if len(drop):
+            drop = np.asarray(drop, dtype=np.intp)
+            if (drop.min() < 0 or drop.max() >= m0
+                    or (k.status[n + drop] != _BASIC).any()):
+                return False
+            keep = np.ones(m0, dtype=bool)
+            keep[drop] = False
+            senses = [s for s, kept in zip(senses, keep.tolist()) if kept]
+        m1 = len(senses)
+        head = k.A[:, :n] if keep is None else k.A[keep, :n]
+        if (model.columns != n or m < m1 or model.senses[:m1] != senses
                 or not (model.objective == k.cost[:n]).all()
-                or not (model.row_coeffs[:m0] == k.A[:, :n]).all()):
+                or not (model.row_coeffs[:m1] == head).all()):
             return False
 
-        lower = np.concatenate([model.lower, k.lower[n:]])
-        upper = np.concatenate([model.upper, k.upper[n:]])
         rc = k.rc
         moves = []
         changed = ((model.lower != k.lower[:n])
@@ -425,7 +454,7 @@ class _Simplex:
             s = k.status[j]
             if s == _BASIC:
                 continue
-            lo, up = lower[j], upper[j]
+            lo, up = model.lower[j], model.upper[j]
             if s == _AT_LOWER:
                 if lo == -INF or (up > lo and rc[j] < -_OPT_TOL):
                     return False
@@ -441,44 +470,61 @@ class _Simplex:
         take = k.handed_over
         if take:
             earlier.kernel = None
-        own = (lambda a: a) if take else np.copy
-        status, values, basis = own(k.status), own(k.values), own(k.basis)
+        if keep is None:
+            own = (lambda a: a) if take else np.copy
+            A, binv, basis = k.A, own(k.binv), own(k.basis)
+            status, values, d = own(k.status), own(k.values), own(rc)
+            slack_lo, slack_up, cost, b = (k.lower[n:], k.upper[n:], k.cost,
+                                           k.b)
+        else:
+            # The indexing copies, so the state is never shared.
+            cols = np.concatenate([np.ones(n, dtype=bool), keep])
+            at = cols[k.basis]
+            A = k.A[np.ix_(keep, cols)]
+            binv = k.binv[np.ix_(at, keep)]
+            basis = (np.cumsum(cols) - 1)[k.basis[at]]
+            status, values, d = k.status[cols], k.values[cols], rc[cols]
+            slack_lo, slack_up = k.lower[n:][keep], k.upper[n:][keep]
+            cost, b = k.cost[cols], k.b[keep]
+            if take:
+                k.A = k.binv = None
+        lower = np.concatenate([model.lower, slack_lo])
+        upper = np.concatenate([model.upper, slack_up])
         # The appended rows' duals are 0, so the earlier reduced costs hold.
-        d = own(rc)
-        shift = model.rhs[:m0] - k.b
+        shift = model.rhs[:m1] - b
         for j, bound in moves:
-            shift -= (bound - values[j]) * k.A[:, j]
+            shift -= (bound - values[j]) * A[:, j]
             values[j] = bound
         if shift.any():
-            values[basis] += k.binv @ shift
+            values[basis] += binv @ shift
 
-        extra = m - m0
+        extra = m - m1
         if extra:
-            rows = model.row_coeffs[m0:]
-            slack_lo, slack_up = _slack_bounds(model.senses[m0:])
+            rows = model.row_coeffs[m1:]
+            slack_lo, slack_up = _slack_bounds(model.senses[m1:])
             lower = np.concatenate([lower, slack_lo])
             upper = np.concatenate([upper, slack_up])
             status = np.concatenate([status, np.full(extra, _BASIC, np.int8)])
             values = np.concatenate([values,
-                                     model.rhs[m0:] - rows @ values[:n]])
+                                     model.rhs[m1:] - rows @ values[:n]])
             d = np.concatenate([d, np.zeros(extra)])
-            new = np.arange(m0, m)
+            new = np.arange(m1, m)
+            old = A
             A = np.zeros((m, n + m))
-            A[:m0, :n + m0] = k.A
-            A[m0:, :n] = rows
+            A[:m1, :n + m1] = old
+            A[m1:, :n] = rows
             A[new, n + new] = 1.0
             if take:
                 # Free each taken array once copied, so that no more than
                 # three of the large ones are alive at a time.
-                k.A = None
-            binv = np.zeros((m, m))
-            binv[:m0, :m0] = k.binv
-            binv[m0:, :m0] = -(A[m0:, basis] @ k.binv)
-            binv[new, new] = 1.0
+                k.A = old = None
+            grown = np.zeros((m, m))
+            grown[:m1, :m1] = binv
+            grown[m1:, :m1] = -(A[m1:, basis] @ binv)
+            grown[new, new] = 1.0
+            binv = grown
             basis = np.concatenate([basis, n + new])
-            cost = np.concatenate([k.cost, np.zeros(extra)])
-        else:
-            A, binv, cost = k.A, own(k.binv), k.cost
+            cost = np.concatenate([cost, np.zeros(extra)])
 
         self.n_struct, self.m, self.senses = n, m, model.senses
         self.A, self.b, self.cost = A, model.rhs, cost

@@ -74,8 +74,8 @@ def count_warm_starts(monkeypatch) -> list[bool]:
         accepted.append(ok)
         return ok
 
-    def spy_derive(self, earlier, model):
-        ok = derive(self, earlier, model)
+    def spy_derive(self, earlier, model, drop):
+        ok = derive(self, earlier, model, drop)
         if ok:
             accepted.append(True)
         return ok

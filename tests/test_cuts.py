@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tukeydepth.cuts import Cut, CutPool, bis_cut, generate_cuts
+from tukeydepth import cuts, engine
+from tukeydepth.cuts import (CUT_TOL, Cut, CutPool, bis_cut,
+                             generate_cuts)
+from tukeydepth.binsearch import solve_depth_binary
+from tukeydepth.engine import EngineConfig, solve_depth
 from tukeydepth.model import InfeasibleSystem, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
 
@@ -71,6 +75,16 @@ def _strictly_satisfiable(sys_, members) -> bool:
     return oracle(sub) == 0
 
 
+def _assert_irreducible(sys_, members):
+    """An IIS: the members admit no common strict solution, and dropping
+    any one of them leaves a set that does."""
+
+    assert not _strictly_satisfiable(sys_, members)
+    for j in members:
+        rest = [i for i in members if i != j]
+        assert not rest or _strictly_satisfiable(sys_, rest)
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["zero", "values"])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_bis_cut_is_irreducible(dim, weighted):
@@ -90,12 +104,80 @@ def test_bis_cut_is_irreducible(dim, weighted):
                 assert _strictly_satisfiable(sys_, sorted(active))
                 continue
             assert set(cut.members) <= set(int(j) for j in active)
-            assert not _strictly_satisfiable(sys_, cut.members)
-            for j in cut.members:
-                rest = [i for i in cut.members if i != j]
-                assert not rest or _strictly_satisfiable(sys_, rest)
+            _assert_irreducible(sys_, cut.members)
             checked += 1
     assert checked >= 10
+
+
+def _separation_rounds(monkeypatch):
+    """(system, values, fixed1) of every separation round both solvers run,
+    in both node selections, on clouds of 14 to 21 points, d = 2 to 4."""
+
+    rounds = []
+    separate = engine.generate_cuts
+
+    def spy(sys_, values, fixed1, *args):
+        rounds.append((sys_, values.copy(), frozenset(fixed1)))
+        return separate(sys_, values, fixed1, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "generate_cuts", spy)
+        for seed in range(8):
+            sys_, depth, _ = gaussian_system(4600 + seed, 14 + seed,
+                                             2 + seed % 3)
+            for select in ("depth-first", "best-first"):
+                cfg = EngineConfig(node_selection=select)
+                assert solve_depth(sys_, cfg).depth == depth
+                assert solve_depth_binary(sys_, cfg).depth == depth
+    return rounds
+
+
+def test_separation_round_returns_distinct_violated_iiss(monkeypatch):
+    """On the values of real node relaxations each round returns at most
+    ``CUTS_PER_ROUND`` distinct IISs among the rows not fixed to 1.  The
+    first is ``bis_cut`` of those values, returned even when they satisfy
+    it, and then alone; every later one is violated, and so is the first
+    of a batch of more than one."""
+
+    lengths, satisfied_first = [], 0
+    for sys_, values, fixed1 in _separation_rounds(monkeypatch):
+        batch = generate_cuts(sys_, values, fixed1)
+        active = [j for j in range(sys_.n_rows) if j not in fixed1]
+        assert batch[:1] == [bis_cut(sys_, active, values=values)]
+        assert len(batch) <= cuts.CUTS_PER_ROUND
+        assert len({c.members for c in batch}) == len(batch)
+        for cut in batch:
+            assert not set(cut.members) & fixed1
+            _assert_irreducible(sys_, cut.members)
+        assert all(c.violated_by(values) for c in batch[1:])
+        if not batch[0].violated_by(values):
+            assert len(batch) == 1
+            satisfied_first += 1
+        lengths.append(len(batch))
+    assert cuts.CUTS_PER_ROUND in lengths and 1 in lengths
+    assert satisfied_first > 0
+
+
+def test_separation_round_stops_at_the_limit(monkeypatch):
+    """With every IIS violated (all values 0.1 and at most d + 1 members),
+    a round stops at ``CUTS_PER_ROUND`` cuts or when its LP turns
+    infeasible; a larger limit lets the same rounds return more."""
+
+    default = cuts.CUTS_PER_ROUND
+    counts = {}
+    for limit in (default, 2 * default):
+        monkeypatch.setattr(cuts, "CUTS_PER_ROUND", limit)
+        counts[limit] = []
+        for seed in range(6):
+            sys_, depth, _ = gaussian_system(4700 + seed, 16, 2 + seed % 2)
+            values = np.full(sys_.n_rows, 0.1)
+            batch = generate_cuts(sys_, values, set())
+            assert 1 <= len(batch) <= limit
+            assert all(c.violated_by(values) for c in batch)
+            counts[limit].append(len(batch))
+    low, high = counts.values()
+    assert max(low) == default < max(high)
+    assert all(a == min(b, default) for a, b in zip(low, high))
 
 
 def test_generate_cuts_root_fallback(simplex_sys):
@@ -128,24 +210,38 @@ def test_pool_dedup_and_order():
     assert not pool.insert(Cut((1, 0)))
     assert pool.insert(Cut((2,)))
     assert len(pool) == 2
-    assert [c.members for c in pool.snapshot()] == [(0, 1), (2,)]
+    # At zero every cut is violated, so all come back, in pool order.
+    assert [c.members for c in pool.violated(np.zeros(3))] == [(0, 1), (2,)]
     assert Cut((0, 1)) in pool
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+@given(st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+                          # Eighths sum exactly, in any order.
+                          st.lists(st.integers(-4, 12).map(lambda k: k / 8),
+                                   min_size=6, max_size=6)),
                 max_size=12))
-def test_pool_snapshots_extend_earlier_ones(member_lists):
-    # A node LP warm-starts from a basis over an earlier snapshot's cut rows,
-    # so every later snapshot must begin with every earlier one, duplicates
-    # inserted in between or not.
+def test_pool_matrix_tracks_insertions(steps):
+    """Queries between insertions see exactly the cuts inserted so far, in
+    order, each once: the pool's 0/1 matrix grows with it, and ``violated``
+    returns the cuts whose member values sum below 1 - CUT_TOL, less the
+    ones skipped."""
+
     pool = CutPool()
-    snapshots = [pool.snapshot()]
-    for members in member_lists:
-        pool.insert(Cut(tuple(members)))
-        snapshots.append(pool.snapshot())
-    for earlier, later in itertools.combinations(snapshots, 2):
-        assert later[:len(earlier)] == earlier
+    inserted = []
+    for members, values in steps:
+        cut = Cut(tuple(members))
+        assert pool.insert(cut) == (cut not in inserted)
+        if cut not in inserted:
+            inserted.append(cut)
+        values = np.array(values)
+        expected = [c for c in inserted
+                    if sum(values[j] for j in c.members) < 1.0 - CUT_TOL]
+        assert pool.violated(values) == expected
+        skip = tuple(inserted[::2])
+        assert pool.violated(values, skip) == [c for c in expected
+                                               if c not in skip]
+    assert len(pool) == len(inserted)
 
 
 def _minimal_covers(sys_):

@@ -22,7 +22,7 @@ from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
                                solve_depth)
 from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
-from tukeydepth.simplex import INF, LpCounter, LpStatus, solve_lp
+from tukeydepth.simplex import DERIVED, INF, LpCounter, LpStatus, solve_lp
 
 from conftest import (count_phase_one, count_warm_starts, gaussian_system,
                       screen_system, skewed_arc_system)
@@ -233,7 +233,7 @@ def test_branching_elastic_lps_start_warm(seed, monkeypatch):
     such start: at most the root's starts cold.  The depth matches the
     oracle."""
 
-    sys_, depth, _ = gaussian_system(6900 + seed, 22, 2 + seed % 2)
+    sys_, depth, _ = gaussian_system(6900 + seed, 29, 2 + seed % 2)
     every_start = count_warm_starts(monkeypatch)
     accepted, starts = [], []
     solve = engine.solve_elastic
@@ -375,7 +375,7 @@ def test_rounding_in_cut_loop_keeps_depth(monkeypatch):
     monkeypatch.setattr(engine, "ROUNDING_ITERATION", 0)
     monkeypatch.setattr(engine, "rounding_heuristic", rounding)
 
-    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    sys_, depth, _ = gaussian_system(6400, 20, 3)
     cfg = EngineConfig()
     search = BranchCutEngine(mip_for(sys_, cfg=cfg), cfg, CutPool())
     # The all-rows incumbent lets every rounding reach its feasibility check.
@@ -563,7 +563,7 @@ def test_search_keeps_one_node_lp_state(select, monkeypatch):
     over: whenever a node LP is solved, its kernel is the only node-LP
     kernel state alive.  The search still derives LPs."""
 
-    sys_, depth, _ = gaussian_system(6954, 30, 2)
+    sys_, depth, _ = gaussian_system(6967, 34, 2)
     node_columns = sys_.dim + sys_.n_rows
     alive = weakref.WeakSet()
     counts = []
@@ -583,13 +583,105 @@ def test_search_keeps_one_node_lp_state(select, monkeypatch):
     assert res.stats.derived_starts > 0
 
 
+def _spy_nodes(monkeypatch):
+    """Record (engine, node, outcome, first LP of the node, pool cuts at
+    the end of the node) for every node any engine evaluates."""
+
+    seen, lps = [], []
+    bound_and_cut = BranchCutEngine.bound_and_cut
+    solve = engine.solve_lp
+
+    def spy_lp(*args, **kwargs):
+        lps.append(solve(*args, **kwargs))
+        return lps[-1]
+
+    def spy(self, node, incumbent_weight):
+        first = len(lps)
+        out = bound_and_cut(self, node, incumbent_weight)
+        # At zero every cut is violated, so this lists the whole pool.
+        pool = self.pool.violated(np.zeros(self.mip.n_binaries))
+        seen.append((self, node, out, lps[first], tuple(pool)))
+        return out
+
+    monkeypatch.setattr(engine, "solve_lp", spy_lp)
+    monkeypatch.setattr(BranchCutEngine, "bound_and_cut", spy)
+    return seen
+
+
+@pytest.mark.parametrize("solve", [solve_depth, solve_depth_binary])
+@pytest.mark.parametrize("select", ["depth-first", "best-first"])
+def test_node_lps_carry_local_rows(solve, select, monkeypatch):
+    """A node LP holds only the pool cuts of its node's rows, but no node
+    ends fractional at an optimum that violates any pool cut: its bound is
+    the bound of the LP over the whole pool, solved cold.  Some node LP
+    holds fewer cut rows than the pool."""
+
+    seen = _spy_nodes(monkeypatch)
+    fractional = fewer = 0
+    for seed in range(4):
+        sys_, depth, _ = gaussian_system(7500 + seed, 18 + 2 * seed,
+                                         2 + seed % 2)
+        del seen[:]
+        res = solve(sys_, EngineConfig(node_selection=select))
+        assert res.depth == depth and res.exact
+        n = sys_.n_rows
+        for search, node, out, _, pool in seen:
+            mip = search.mip
+            head = mip.n_columns + n + (mip.form is MipForm.GUESS)
+            cut_rows = out.lp.basis_status.size - head
+            fewer += cut_rows < len(pool)
+            if out.kind is not OutcomeKind.FRACTIONAL:
+                continue
+            fractional += 1
+            s = out.lp.primal[sys_.dim:sys_.dim + n]
+            assert not any(cut.violated_by(s) for cut in pool)
+            full = solve_lp(mip.relaxation(node.fixed1, node.fixed0, pool))
+            assert full.objective_value == pytest.approx(
+                out.objective, abs=1e-7, rel=1e-7)
+    assert fractional > 0 and fewer > 0
+
+
+def test_later_probe_roots_derive_from_the_previous_root(monkeypatch):
+    """Each bisection probe's root after the first starts with the rows the
+    previous probe's root passed on and derives its first LP from that
+    root's LP."""
+
+    seen = _spy_nodes(monkeypatch)
+    later = 0
+    for seed in range(4):
+        sys_, depth, _ = gaussian_system(7600 + seed, 20 + 2 * seed, 3)
+        del seen[:]
+        res = solve_depth_binary(sys_)
+        assert res.depth == depth and res.exact
+        roots = [(search, node, first) for search, node, _, first, _ in seen
+                 if node.tree_depth == 0]
+        assert len(roots) == res.stats.guesses
+        for search, node, first in roots[1:]:
+            assert first.start_kind == DERIVED
+            later += 1
+    assert later > 0
+
+
+def test_ladder_cell_n40_d3_matches_oracle():
+    """The ladder's n=40, d=3 cell (a default_rng(1) normal cloud, query at
+    the origin), depth-first, under both solvers."""
+
+    pts = np.random.default_rng(1).normal(size=(40, 3))
+    sys_ = build_system(PointSet(3, pts, np.zeros(3)))
+    depth = oracle_depth_general(sys_)
+    for solve in (solve_depth, solve_depth_binary):
+        res = solve(sys_, EngineConfig(node_selection="depth-first"))
+        assert res.depth == depth and res.exact
+        assert res.certificate == "verified"
+
+
 def test_search_progress_log(caplog, monkeypatch):
     """At INFO the search logs a progress line at most every LOG_EVERY
     seconds and a final line (nodes, open nodes, incumbent, best bound, gap
     and LPs/s), and bisection one line per probe.  The level is read once
     per search: with INFO off nothing is formatted."""
 
-    sys_, depth, _ = gaussian_system(6400, 16, 3)
+    sys_, depth, _ = gaussian_system(6405, 24, 3)
     reads = [0]
 
     def clock():

@@ -496,7 +496,7 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
     assert np.any(s <= 0.0) and np.any(s >= 1.0)
     nudged = np.where(s <= 0.0, -1e-12, np.where(s >= 1.0, 1 + 1e-12, s))
     weighted = generate_cuts(sys_, nudged, fix1)
-    assert len(weighted) == 1
+    assert 1 <= len(weighted) <= cuts.CUTS_PER_ROUND
     assert weighted == generate_cuts(sys_, np.clip(nudged, 0.0, 1.0), fix1)
     models = {
         "elastic": [_elastic_model(sys_, {0})],
@@ -511,26 +511,33 @@ def test_package_lps_start_dual_feasible(points, dim, monkeypatch):
         "guess": [MipModel(sys_, bounds, MipForm.GUESS, guess=depth - 1)
                   .relaxation(fix1, fix0, (cut,))],
     }
+    # The separation round derives its later cut LPs from the first, one
+    # more column bounded to 0 each; they are checked cold here as well.
+    derived = models["weighted bis_cut"]
+    assert len(weighted) <= len(derived) <= cuts.CUTS_PER_ROUND
+    if len(weighted) > 1:
+        assert all((m.upper <= derived[0].upper).all() for m in derived)
     entries = count_phase_one(monkeypatch)
     for name, built in models.items():
-        assert len(built) == 1, name
-        model = built[0]
-        # Exactly, with no tolerance: each column's cost sign asks for a
-        # bound it has, so the slack start is dual feasible for the true cost.
-        c = model.objective
-        assert np.all((c >= 0) | (model.upper < INF)), name
-        assert np.all((c <= 0) | (model.lower > -INF)), name
-        sol = solve_lp(model)
-        ref = _scipy_reference(model)
-        assert entries == [], name
-        assert sol.dual_pivots > 0, name
-        if ref.status == 2:
-            assert sol.status is LpStatus.INFEASIBLE, name
-        else:
-            assert ref.status == 0, name
-            assert sol.status is LpStatus.OPTIMAL, name
-            assert sol.objective_value == pytest.approx(
-                ref.fun, abs=1e-7, rel=1e-7), name
+        assert len(built) == 1 or built is derived, name
+        for model in built:
+            # Exactly, with no tolerance: each column's cost sign asks for a
+            # bound it has, so the slack start is dual feasible for the true
+            # cost.
+            c = model.objective
+            assert np.all((c >= 0) | (model.upper < INF)), name
+            assert np.all((c <= 0) | (model.lower > -INF)), name
+            sol = solve_lp(model)
+            ref = _scipy_reference(model)
+            assert entries == [], name
+            assert sol.dual_pivots > 0, name
+            if ref.status == 2:
+                assert sol.status is LpStatus.INFEASIBLE, name
+            else:
+                assert ref.status == 0, name
+                assert sol.status is LpStatus.OPTIMAL, name
+                assert sol.objective_value == pytest.approx(
+                    ref.fun, abs=1e-7, rel=1e-7), name
 
 
 def _random_cuts(rng, rows: list[int], dim: int, count: int):
@@ -746,6 +753,147 @@ def test_underivable_start_falls_back(kind):
     if kind in ("dual_infeasible", "infinite_bound"):
         assert warm.start_kind == COLD
         _assert_identical(warm, solve_lp(model))
+
+
+def _mixed_lp(rng):
+    """A random bounded, feasible LP with boxed, free and fixed columns and
+    all three row senses.  A pair of rows ties each free column to the
+    boxed ones, so the LP is bounded whatever its cost; the other rows hold
+    around a point of the box, so it is feasible."""
+
+    nb, nf, nx = (int(rng.integers(3, 8)), int(rng.integers(1, 3)),
+                  int(rng.integers(1, 3)))
+    n = nb + nf + nx
+    boxed_lo = rng.uniform(-2, 0, nb)
+    fixed_at = rng.uniform(-1, 1, nx)
+    lower = np.concatenate([boxed_lo, np.full(nf, -INF), fixed_at])
+    upper = np.concatenate([boxed_lo + rng.uniform(0.1, 3, nb),
+                            np.full(nf, INF), fixed_at])
+    point = np.concatenate([rng.uniform(lower[:nb], upper[:nb]),
+                            rng.normal(size=nf), fixed_at])
+    rows, senses, rhs = [], [], []
+    for f in range(nb, nb + nf):
+        tie = np.zeros(n)
+        tie[:nb] = rng.normal(size=nb)
+        tie[f] = 1.0
+        for sense, gap in ((Sense.GE, -1.0), (Sense.LE, 1.0)):
+            rows.append(tie)
+            senses.append(sense)
+            rhs.append(tie @ point + gap)
+    for _ in range(int(rng.integers(3, 8))):
+        row = rng.normal(size=n)
+        sense = (Sense.GE if rng.random() < 0.45 else
+                 Sense.LE if rng.random() < 0.85 else Sense.EQ)
+        gap = 0.0 if sense is Sense.EQ else float(rng.uniform(0, 1))
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(row @ point + (-gap if sense is Sense.GE else gap))
+    return lp(rng.normal(size=n), rows, senses, rhs, lower, upper)
+
+
+def _without_rows(rng, model: LpModel, drop, change: bool) -> LpModel:
+    """The LP less the rows ``drop``; with ``change``, one boxed column's
+    box also shrinks from below and one row is appended."""
+
+    keep = [i for i in range(model.n_rows) if i not in set(drop)]
+    rows = model.row_coeffs[keep]
+    senses = [model.senses[i] for i in keep]
+    rhs = model.rhs[keep]
+    lower = model.lower.copy()
+    if change:
+        boxed = np.flatnonzero(np.isfinite(model.upper)
+                               & (model.upper > model.lower))
+        j = int(rng.choice(boxed))
+        lower[j] += 0.5 * (model.upper[j] - model.lower[j])
+        row = rng.normal(size=model.columns)
+        rows = np.vstack([rows, row])
+        senses = senses + [Sense.GE]
+        rhs = np.append(rhs, float(rng.normal()))
+    return LpModel(model.objective, rows, senses, rhs, lower, model.upper)
+
+
+@pytest.mark.parametrize("handover", [False, True],
+                         ids=["copied", "handed-over"])
+def test_derive_after_dropping_rows_matches_cold(handover, monkeypatch):
+    """Drop rows whose slacks are basic at an optimum (boxed, free and
+    fixed columns; now and then a bound change and an appended row too):
+    the solve derived from that optimum reaches a cold solve's status and
+    objective within ``feas_tol``, and phase 1 never runs.  A copied
+    kernel is left as it was, so a second derive is identical; from the
+    statuses less those rows' slacks the start holds too."""
+
+    rng = np.random.default_rng(8300 + handover)
+    feas_tol = 1e-9
+    entries = count_phase_one(monkeypatch)
+    checked = 0
+    for _ in range(120):
+        model = _mixed_lp(rng)
+        earlier = solve_lp(model)
+        assert earlier.status is LpStatus.OPTIMAL
+        slack = earlier.basis_status[model.columns:]
+        basic = np.flatnonzero(slack == _BASIC)
+        if not basic.size:
+            continue
+        drop = np.sort(rng.choice(basic, size=int(rng.integers(
+            1, basic.size + 1)), replace=False))
+        child = _without_rows(rng, model, drop, change=rng.random() < 0.5)
+        statuses = earlier.basis_status.copy()
+        cold = solve_lp(child)
+        before = len(entries)
+        warm = solve_lp(child, start=earlier.handover() if handover
+                        else earlier, drop=drop)
+        assert warm.start_kind == DERIVED
+        assert len(entries) == before
+        assert warm.status is cold.status
+        if cold.status is LpStatus.OPTIMAL:
+            assert warm.objective_value == pytest.approx(
+                cold.objective_value, abs=feas_tol, rel=feas_tol)
+            _check_kkt(child, warm)
+        if handover:
+            assert earlier.kernel is None
+        else:
+            _assert_identical(warm, solve_lp(child, start=earlier,
+                                             drop=drop))
+        refactorized = solve_lp(child, start=statuses, drop=drop)
+        assert refactorized.start_kind == REFACTORIZED
+        assert refactorized.status is cold.status
+        if cold.status is LpStatus.OPTIMAL:
+            assert refactorized.objective_value == pytest.approx(
+                cold.objective_value, abs=feas_tol, rel=feas_tol)
+        checked += 1
+    assert checked >= 60
+
+
+def test_drop_of_a_row_with_nonbasic_slack_is_refused(monkeypatch):
+    """A start that drops a row whose slack is nonbasic, alone or with a
+    row whose slack is basic, is refused, whole solution or statuses: the
+    output is that of a solve without a start."""
+
+    rng = np.random.default_rng(8400)
+    accepted = count_warm_starts(monkeypatch)
+    checked = 0
+    for _ in range(60):
+        model = _mixed_lp(rng)
+        earlier = solve_lp(model)
+        slack = earlier.basis_status[model.columns:]
+        tight = np.flatnonzero(slack != _BASIC)
+        loose = np.flatnonzero(slack == _BASIC)
+        if not tight.size:
+            continue
+        drops = [tight[:1]]
+        if loose.size:
+            drops.append(np.sort(np.append(tight[:1], loose[:1])))
+        for drop in drops:
+            child = _without_rows(rng, model, drop, change=False)
+            cold = solve_lp(child)
+            for start in (earlier, earlier.basis_status):
+                del accepted[:]
+                warm = solve_lp(child, start=start, drop=drop)
+                assert warm.start_kind == COLD
+                assert accepted == [False]
+                _assert_identical(warm, cold)
+            checked += 1
+    assert checked >= 40
 
 
 def _boxed_lp(rng):
