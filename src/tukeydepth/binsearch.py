@@ -6,9 +6,11 @@ margin under the cardinality cap, stopping at the first positive witness.
 No a-priori epsilon is needed, and the certified margin of the final answer
 is itself a usable epsilon for the fixed-epsilon program.  Cuts found while
 answering one probe are pooled and seed all later probes.  Each probe's root
-starts with the rows the previous probe's root passed on to its children and
+after the first starts with the rows the previous probe's root passed on and
 derives its LP from that root's LP, with another cardinality right-hand
-side; it then pulls the pool cuts its optimum violates.
+side: the root's final LP less the cut rows whose slacks are basic, or its
+last optimal LP with all its rows when the final one is infeasible.  It then
+pulls the pool cuts its optimum violates.
 """
 
 from __future__ import annotations

@@ -163,7 +163,8 @@ def bis_cut(sys: InfeasibleSystem, active, counter: LpCounter | None = None,
 
 
 def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
-                  counter: LpCounter | None = None) -> list[Cut]:
+                  counter: LpCounter | None = None,
+                  disjoint: bool = False) -> list[Cut]:
     """Up to ``CUTS_PER_ROUND`` hitting-set cuts for the current relaxation
     values, over the rows not fixed to 1 (Pfetsch, SIAM J. Optim. 2008).
 
@@ -172,10 +173,11 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
     further one bounds to 0 the y column of the previous cut's member with
     the largest value (ties to the lowest row), which rules that IIS out,
     and re-solves derived from the previous cut LP: a bound change keeps
-    its basis dual feasible.  The batch ends when the LP turns infeasible,
-    at the first IIS the values do not violate (left out), or at
-    ``CUTS_PER_ROUND`` cuts.  Empty when the active rows are jointly
-    satisfiable."""
+    its basis dual feasible.  With ``disjoint`` it bounds every member of
+    the previous cut instead, so the cuts of the batch are pairwise
+    disjoint.  The batch ends when the LP turns infeasible, at the first
+    IIS the values do not violate (left out), or at ``CUTS_PER_ROUND``
+    cuts.  Empty when the active rows are jointly satisfiable."""
 
     active = [j for j in range(sys.n_rows) if j not in fixed1]
     if not active:
@@ -183,6 +185,7 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
     model = _alternative_lp(sys, active, lp_binaries)
     sol = solve_lp(model, counter=counter)
     cut = _vertex_cut(sol, active)
+    active_rows = np.asarray(active)
     cuts = []
     while cut is not None:
         violated = cut.violated_by(lp_binaries)
@@ -191,10 +194,13 @@ def generate_cuts(sys: InfeasibleSystem, lp_binaries: np.ndarray, fixed1,
         cuts.append(cut)
         if not violated or len(cuts) == CUTS_PER_ROUND:
             break
-        # max() keeps the first, that is the lowest, of tied members.
-        top = max(cut.members, key=lambda j: lp_binaries[j])
+        # Members are sorted, as ``active`` is; argmax keeps the first,
+        # that is the lowest, of tied members.
+        at = np.searchsorted(active_rows, cut.members)
+        if not disjoint:
+            at = at[lp_binaries[list(cut.members)].argmax()]
         upper = model.upper.copy()
-        upper[active.index(top)] = 0.0
+        upper[at] = 0.0
         model = LpModel(model.objective, model.row_coeffs, model.senses,
                         model.rhs, model.lower, upper)
         sol = solve_lp(model, counter=counter, start=sol.handover())

@@ -7,7 +7,9 @@ both forms.  An initial incumbent comes from the greedy elastic heuristic,
 nodes fix binaries to 0/1, every node runs an LP-plus-cuts loop, and
 hitting-set cuts live in a pool shared by all nodes (and, for bisection,
 across runs).  Each node LP holds only the pool cuts its node carries and
-pulls in the others its optimum violates.
+pulls in the others its optimum violates.  The depth form's root LP opens at
+the basis of the heuristic's first elastic LP, and a root's separation
+rounds return disjoint cuts, so the root lifts its bound in few LPs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .cuts import Cut, CutPool, _alternative_lp, generate_cuts
 from .elastic import (ElasticSolution, chinneck_cover, greedy_row,
                       solve_elastic)
 from .model import InfeasibleSystem, ParamBounds
-from .simplex import (_BASIC, INF, LpCounter, LpModel, LpSolution, LpStatus,
-                      Sense, solve_lp)
+from .simplex import (_AT_LOWER, _AT_UPPER, _BASIC, INF, LpCounter, LpModel,
+                      LpSolution, LpStatus, Sense, solve_lp)
 
 __all__ = [
     "MipForm",
@@ -176,8 +178,10 @@ class Node:
     structural rows: none at the first root, its parent's final ones less
     those whose slack was basic there, and at the root of a later bisection
     probe the ones the previous probe's root passed on.  ``basis_status``
-    is the parent's final LP basis less those rows' slacks (None at the
-    first root), a basis of this node's first LP.  A node popped while its
+    is the parent's final LP basis less those rows' slacks, a basis of this
+    node's first LP.  At the first root it is the basis ``_root_start``
+    reads off the heuristic's first elastic LP in the depth form, and None
+    in the guess form or when no basis maps.  A node popped while its
     parent's final LP is the engine's live one (the depth-first dive)
     derives its first LP from that LP's kernel state instead, dropping the
     same rows; any other starts from these statuses.  Open nodes keep
@@ -435,6 +439,36 @@ def select_branch_variable(node: Node, mip: MipModel, lp: LpSolution,
     return best_j
 
 
+def _root_start(mip: MipModel, elastic: ElasticSolution | None
+               ) -> np.ndarray | None:
+    """Start statuses for the depth form's root LP read off the elastic
+    LP over all rows (the heuristic's first), or None when there is none,
+    the form is the guess form, or a slack of the elastic LP's equality
+    rows is basic.
+
+    Every x column is basic.  A basic y_j makes row j tight (its slack at
+    its bound 0, s_j at 0), y_j at its upper bound w_j makes s_j basic with
+    the slack at 0, and y_j at 0 makes the slack basic with s_j at 0.  With
+    x = epsilon z (z the elastic direction) and s_j = epsilon e_j / M, the
+    root LP is the elastic row form scaled by epsilon / M, and the row
+    duals y / M make this basis dual feasible: the reduced cost of s_j is
+    w_j - y_j >= 0, and A^T y = 0 prices every x column at 0.  The kernel
+    re-checks the start, so a wrong one costs only a cold start.
+    """
+
+    if elastic is None or elastic.lp is None or mip.form is not MipForm.DEPTH:
+        return None
+    n = mip.n_binaries
+    y = elastic.lp.basis_status
+    if (y[n:] == _BASIC).any():
+        return None
+    y = y[:n]
+    status = np.full(mip.dim + 2 * n, _BASIC, dtype=np.int8)
+    status[mip.dim:mip.dim + n] = np.where(y == _AT_UPPER, _BASIC, _AT_LOWER)
+    status[mip.dim + n:] = np.where(y == _AT_LOWER, _BASIC, _AT_UPPER)
+    return status
+
+
 def expand(node: Node, branch_var: int) -> tuple[Node, Node]:
     """Children fixing the branch row removed (=1) and kept (=0)."""
 
@@ -497,8 +531,9 @@ class BranchCutEngine:
     final LP when it is feasible (``_live``, a ``_LiveLp``), from which the
     next node derives when it is that node's child.  The next node releases
     it once its own first LP is solved.  The guess form keeps one more,
-    ``root_lp``, the root's once the search has evaluated the root:
-    bisection passes it to the next probe's engine, whose root starts with
+    ``root_lp``, the root's once the search has evaluated the root: its
+    final LP, or its last optimal one when the final LP is infeasible.
+    Bisection passes it to the next probe's engine, whose root starts with
     its rows and derives from it."""
 
     def __init__(self, mip: MipModel, cfg: EngineConfig, pool: CutPool,
@@ -540,7 +575,10 @@ class BranchCutEngine:
         most ``MAX_CUT_ROUNDS`` while the objective improves by at least
         ``CUT_IMPROVE``, the solution stays fractional, and a round finds a
         violated cut the pool lacks; infeasibility and bound dominance end
-        the node immediately.
+        the node immediately.  At tree depth 0 a round bounds every member
+        of each cut it separates (``generate_cuts(disjoint=True)``), so its
+        cuts are pairwise disjoint; below the root it bounds only the top
+        member.
 
         The first LP derives from the engine's live LP when the node's
         start statuses are the ones that LP passes on (the node is its
@@ -548,15 +586,20 @@ class BranchCutEngine:
         it drops, and starts from the statuses otherwise; each pull and cut
         round derives from the previous LP, whose rows it extends.  Both
         hand the earlier kernel state over rather than copy it, unless it is
-        the guess form's root LP.  The node's final LP becomes the live one
-        when it is feasible.  A fractional node passes its final rows on to
-        its children less the cut rows whose slack is basic in its final
-        basis, with its final statuses less those slacks.
+        the guess form's root LP: a probe root copies each of its LPs and
+        keeps the last optimal one, with its rows, as ``root_lp``.  The
+        node's final LP becomes the live one when it is feasible.  A
+        fractional node passes its final rows on to its children less the
+        cut rows whose slack is basic in its final basis, with its final
+        statuses less those slacks.
         """
 
         mip, pool = self.mip, self.pool
         rows = node.rows
         rounding = None
+        # A probe root keeps its last optimal LP for the next probe's root.
+        probe_root = mip.form is MipForm.GUESS and node.tree_depth == 0
+        kept = None
 
         model = mip.relaxation(node.fixed1, node.fixed0, rows)
         live, self._live = self._live, None
@@ -598,8 +641,10 @@ class BranchCutEngine:
                     break
                 if prev_obj is not None and obj - prev_obj < CUT_IMPROVE:
                     break
+                # At the root a round's cuts are disjoint.
                 fresh = [c for c in generate_cuts(mip.sys, s, node.fixed1,
-                                                  self.stats)
+                                                  self.stats,
+                                                  node.tree_depth == 0)
                          if pool.insert(c)]
                 self.stats.cuts += len(fresh)
                 # A row the optimum satisfies would not move it; the pool
@@ -610,9 +655,12 @@ class BranchCutEngine:
                 iteration += 1
                 prev_obj = obj
 
+            if probe_root:
+                kept = _LiveLp(lp, rows, (), lp.basis_status)
             rows += tuple(new_rows)
             model = mip.relaxation(node.fixed1, node.fixed0, rows)
-            lp = solve_lp(model, counter=self.stats, start=lp.handover())
+            lp = solve_lp(model, counter=self.stats,
+                          start=lp if probe_root else lp.handover())
 
             if (separated and mip.form is MipForm.DEPTH
                     and node.tree_depth > ROUNDING_DEPTH
@@ -650,7 +698,9 @@ class BranchCutEngine:
                     status = np.delete(lp.basis_status, model.columns + drop)
                 out.child_rows, out.child_status = passed_on, status
         if lp.kernel is not None:
-            self._live = _LiveLp(lp, passed_on, drop, status)
+            kept = self._live = _LiveLp(lp, passed_on, drop, status)
+        if probe_root and kept is not None:
+            self.root_lp = kept
         return out
 
     def _reduced_cost_fixings(self, node: Node, lp: LpSolution,
@@ -704,9 +754,12 @@ class BranchCutEngine:
         sys, d = self.mip.sys, self.mip.dim
         store = _NodeStore(self.cfg.node_selection)
         root = self.root_lp
-        store.push(Node(basis_status=None if root is None else root.status,
-                        elastic=self.root_elastic,
-                        rows=() if root is None else root.rows))
+        if root is None:
+            status, rows = _root_start(self.mip, self.root_elastic), ()
+        else:
+            status, rows = root.status, root.rows
+        store.push(Node(basis_status=status, elastic=self.root_elastic,
+                        rows=rows))
         log = _info_log(__name__)
         if log is not None:
             t0 = time.monotonic()
@@ -725,9 +778,6 @@ class BranchCutEngine:
             if node is None:
                 break
             out = self.bound_and_cut(node, weight)
-            if (node.tree_depth == 0 and self._live is not None
-                    and self.mip.form is MipForm.GUESS):
-                self.root_lp = self._live
             self.stats.nodes += 1
             if out.rounding is not None and out.rounding[1] < weight:
                 cover, weight, direction = out.rounding

@@ -30,10 +30,12 @@ search engine only passes starts that stay dual feasible: the parent node's
 final LP less its cut rows with basic slacks (a branching or reduced-cost
 fixing changes bounds only), the previous cut round's or pool pull's (cuts
 are appended rows), the node LP for strong-branching children, the previous
-bisection probe's root LP (only the cardinality row's right-hand side
-changes), the previous cut LP of a separation round (one more column
-bounded to 0), and an elastic LP for one that removes more rows (a bound
-change too).  A
+bisection probe's root LP, or that root's last optimal LP when its final
+one is infeasible (only the cardinality row's right-hand side changes), the
+previous cut LP of a separation round (more columns bounded to 0), an
+elastic LP for one that removes more rows (a bound change too), and, as
+statuses, the depth-form root's basis read off the first elastic LP (the
+row duals y / M of the elastic optimum price it dual feasible).  A
 cold LP whose cost asks some column for a bound it lacks first runs a dual
 phase 1 through the same loop (Koberstein, PhD thesis, Paderborn 2005,
 4.4): the bounded ray LP, min c.r with right-hand side 0 and each column's

@@ -110,18 +110,27 @@ def test_bis_cut_is_irreducible(dim, weighted):
 
 
 def _separation_rounds(monkeypatch):
-    """(system, values, fixed1) of every separation round both solvers run,
-    in both node selections, on clouds of 14 to 21 points, d = 2 to 4."""
+    """(system, values, fixed1, at the root) of every separation round both
+    solvers run, in both node selections, on clouds of 14 to 21 points,
+    d = 2 to 4.  The engine asks for disjoint cuts exactly at the root."""
 
-    rounds = []
+    rounds, depths = [], []
     separate = engine.generate_cuts
+    bound_and_cut = engine.BranchCutEngine.bound_and_cut
 
-    def spy(sys_, values, fixed1, *args):
-        rounds.append((sys_, values.copy(), frozenset(fixed1)))
-        return separate(sys_, values, fixed1, *args)
+    def spy(sys_, values, fixed1, counter, disjoint):
+        root = depths[-1] == 0
+        assert disjoint == root
+        rounds.append((sys_, values.copy(), frozenset(fixed1), root))
+        return separate(sys_, values, fixed1, counter, disjoint)
+
+    def spy_node(self, node, incumbent_weight):
+        depths.append(node.tree_depth)
+        return bound_and_cut(self, node, incumbent_weight)
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "generate_cuts", spy)
+        patch.setattr(engine.BranchCutEngine, "bound_and_cut", spy_node)
         for seed in range(8):
             sys_, depth, _ = gaussian_system(4600 + seed, 14 + seed,
                                              2 + seed % 3)
@@ -140,7 +149,7 @@ def test_separation_round_returns_distinct_violated_iiss(monkeypatch):
     of a batch of more than one."""
 
     lengths, satisfied_first = [], 0
-    for sys_, values, fixed1 in _separation_rounds(monkeypatch):
+    for sys_, values, fixed1, _ in _separation_rounds(monkeypatch):
         batch = generate_cuts(sys_, values, fixed1)
         active = [j for j in range(sys_.n_rows) if j not in fixed1]
         assert batch[:1] == [bis_cut(sys_, active, values=values)]
@@ -156,6 +165,30 @@ def test_separation_round_returns_distinct_violated_iiss(monkeypatch):
         lengths.append(len(batch))
     assert cuts.CUTS_PER_ROUND in lengths and 1 in lengths
     assert satisfied_first > 0
+
+
+def test_root_separation_round_returns_disjoint_violated_iiss(monkeypatch):
+    """At the root, where the engine bounds every member of each cut it
+    separates, a round returns pairwise disjoint IISs among the rows not
+    fixed to 1.  Each is violated by the relaxation values, unless the
+    first is not; then it is the only one, as below the root."""
+
+    lengths = []
+    for sys_, values, fixed1, root in _separation_rounds(monkeypatch):
+        if not root:
+            continue
+        batch = generate_cuts(sys_, values, fixed1, disjoint=True)
+        assert 1 <= len(batch) <= cuts.CUTS_PER_ROUND
+        members = [j for cut in batch for j in cut.members]
+        assert len(set(members)) == len(members)
+        assert not set(members) & fixed1
+        for cut in batch:
+            _assert_irreducible(sys_, cut.members)
+        if all(cut.violated_by(values) for cut in batch):
+            lengths.append(len(batch))
+        else:
+            assert len(batch) == 1
+    assert cuts.CUTS_PER_ROUND in lengths and 1 in lengths
 
 
 def test_separation_round_stops_at_the_limit(monkeypatch):

@@ -17,12 +17,13 @@ from tukeydepth.cuts import CutPool
 from tukeydepth.elastic import VIOL_TOL, chinneck_cover, solve_elastic
 from tukeydepth.engine import (BranchCutEngine, EngineConfig, MipForm,
                                MipModel, Node, OutcomeKind, _NodeStore,
-                               complement_direction, expand,
+                               _root_start, complement_direction, expand,
                                rounding_heuristic, select_branch_variable,
                                solve_depth)
 from tukeydepth.model import ParamBounds, PointSet, build_system
 from tukeydepth.oracle import oracle_depth_2d, oracle_depth_general
-from tukeydepth.simplex import DERIVED, INF, LpCounter, LpStatus, solve_lp
+from tukeydepth.simplex import (COLD, DERIVED, INF, REFACTORIZED, LpCounter,
+                                LpStatus, solve_lp)
 
 from conftest import (count_phase_one, count_warm_starts, gaussian_system,
                       screen_system, skewed_arc_system)
@@ -233,7 +234,9 @@ def test_branching_elastic_lps_start_warm(seed, monkeypatch):
     such start: at most the root's starts cold.  The depth matches the
     oracle."""
 
-    sys_, depth, _ = gaussian_system(6900 + seed, 29, 2 + seed % 2)
+    # Draws 6903 and 6905 solve no branching elastic LP below the root.
+    draw = (6900, 6901, 6902, 6907)[seed]
+    sys_, depth, _ = gaussian_system(draw, 29, 2 + seed % 2)
     every_start = count_warm_starts(monkeypatch)
     accepted, starts = [], []
     solve = engine.solve_elastic
@@ -644,22 +647,84 @@ def test_node_lps_carry_local_rows(solve, select, monkeypatch):
 def test_later_probe_roots_derive_from_the_previous_root(monkeypatch):
     """Each bisection probe's root after the first starts with the rows the
     previous probe's root passed on and derives its first LP from that
-    root's LP."""
+    root's LP, its last optimal one when the root ends infeasible.  The
+    first probe's root ends infeasible on the last draw."""
 
     seen = _spy_nodes(monkeypatch)
     later = 0
-    for seed in range(4):
-        sys_, depth, _ = gaussian_system(7600 + seed, 20 + 2 * seed, 3)
+    draws = [(7600 + seed, 20 + 2 * seed, 3) for seed in range(4)]
+    for seed, n, d in draws + [(7614, 18, 3)]:
+        sys_, depth, _ = gaussian_system(seed, n, d)
         del seen[:]
         res = solve_depth_binary(sys_)
         assert res.depth == depth and res.exact
-        roots = [(search, node, first) for search, node, _, first, _ in seen
+        roots = [(search, node, out, first)
+                 for search, node, out, first, _ in seen
                  if node.tree_depth == 0]
         assert len(roots) == res.stats.guesses
-        for search, node, first in roots[1:]:
+        for search, node, out, first in roots[1:]:
             assert first.start_kind == DERIVED
             later += 1
+    assert roots[0][2].kind is OutcomeKind.INFEASIBLE
     assert later > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_depth_root_opens_at_the_heuristic_optimum(dim, monkeypatch):
+    """The depth form's root LP opens at the basis ``_root_start`` reads off
+    the heuristic's first elastic LP: refactorized, with no dual pivot, at
+    the objective of a cold solve.  Odd draws repeat a third of their
+    points, which ``build_system`` folds into weights above 1."""
+
+    seen = _spy_nodes(monkeypatch)
+    roots = folded = 0
+    for draw in range(12):
+        rng = np.random.default_rng([7700, dim, draw])
+        n = int(rng.integers(12, 30))
+        pts = rng.normal(size=(n, dim))
+        if draw % 2:
+            pts = np.vstack([pts, pts[rng.choice(n, size=n // 3)]])
+        sys_ = build_system(PointSet(dim, pts, np.zeros(dim)))
+        del seen[:]
+        assert solve_depth(sys_).exact
+        for search, node, _, first, _ in seen:
+            if node.tree_depth:
+                continue
+            cold = solve_lp(search.mip.relaxation())
+            assert first.start_kind == REFACTORIZED
+            assert first.dual_pivots == 0
+            assert abs(first.objective_value - cold.objective_value) <= 1e-9
+            roots += 1
+            folded += bool((sys_.weights > 1).any())
+    assert roots >= 5 and folded >= 2
+
+
+def test_degenerate_elastic_basis_leaves_the_root_cold(monkeypatch):
+    """A planar cloud in three dimensions gives the elastic LP an all-zero
+    equality row, whose slack stays basic.  No start maps from that basis,
+    and the root LP is bit-identical to one solved without a start."""
+
+    seen = _spy_nodes(monkeypatch)
+    for draw in range(5):
+        pts = np.zeros((14, 3))
+        pts[:, :2] = np.random.default_rng([7800, draw]).normal(size=(14, 2))
+        sys_ = build_system(PointSet(3, pts, np.zeros(3)))
+        del seen[:]
+        res = solve_depth(sys_)
+        planar = build_system(PointSet(2, pts[:, :2], np.zeros(2)))
+        assert res.depth == oracle_depth_2d(planar) and res.exact
+        roots = [(search, first) for search, node, _, first, _ in seen
+                 if node.tree_depth == 0]
+        assert len(roots) == 1
+        search, first = roots[0]
+        assert search.root_elastic is not None
+        assert _root_start(search.mip, search.root_elastic) is None
+        cold = solve_lp(search.mip.relaxation())
+        assert first.start_kind == cold.start_kind == COLD
+        for name in ("primal", "duals", "reduced_costs", "basis_status"):
+            assert np.array_equal(getattr(first, name), getattr(cold, name))
+        assert first.objective_value == cold.objective_value
+        assert first.dual_pivots == cold.dual_pivots
 
 
 def test_ladder_cell_n40_d3_matches_oracle():
@@ -952,7 +1017,7 @@ def test_root_elastic_lp_solved_once(solve, monkeypatch):
 
     monkeypatch.setattr(elastic, "solve_elastic", spy)
     monkeypatch.setattr(engine, "solve_elastic", spy)
-    for seed, n, d in ((6400, 16, 3), (7300, 15, 2), (7006, 22, 2)):
+    for seed, n, d in ((6400, 16, 3), (7300, 15, 2), (7007, 22, 2)):
         removed.clear()
         sys_, depth, _ = gaussian_system(seed, n, d)
         res = solve(sys_)
